@@ -7,7 +7,6 @@ stdout (JSON by default), structured errors to stderr, exit status 0/1.
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import HeckePolyError
@@ -182,8 +181,7 @@ def _cmd_oracle_matrix(args):
 
 
 def _cmd_verify(args):
-    workers = int(os.environ.get("HECKEPOLY_WORKERS", "1"))
-    results = run_suite(args.suite, max_weight=args.max_weight, workers=workers)
+    results = run_suite(args.suite, max_weight=args.max_weight)
     failures = 0
     for result in results:
         if result.ok:

@@ -60,6 +60,10 @@ class InconsistentSystemError(HeckePolyError):
 
 
 class UnderdeterminedSystemError(HeckePolyError):
-    """An exact linear system has no *unique* solution."""
+    """An exact linear system has no *unique* solution; carries the rank found."""
 
     code = "UnderdeterminedSystem"
+
+    def __init__(self, message, rank=None):
+        super().__init__(message)
+        self.rank = rank

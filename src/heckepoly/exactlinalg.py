@@ -1,13 +1,15 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, computed in integers.
 
-Determinants go through fraction-free Bareiss elimination on a
-denominator-cleared integer matrix; inverses use exact rational Gauss-Jordan
-(dimensions stay small here); characteristic polynomials use
-Faddeev-LeVerrier, whose only divisions are by integers.
+Each routine clears denominators (per row, or one common denominator for the
+whole matrix) and works on Python ints.  One fraction-free Bareiss
+elimination kernel serves determinants, rank, ``solve_right`` and, through
+``solve_right(M, I)``, inverses; characteristic polynomials use the
+division-free Berkowitz recursion.  Results are exact rationals.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from .errors import (
     InconsistentSystemError,
@@ -113,6 +115,48 @@ class ExactMatrix:
         return "ExactMatrix(%r)" % [[str(x) for x in row] for row in self.entries]
 
 
+def clear_denominators(values):
+    """Integers v and a positive D with values[k] == v[k] / D, D the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _bareiss(work, pivot_cols):
+    """Fraction-free forward elimination of integer rows, in place (Bareiss 1968).
+
+    Pivots are the first nonzero entries at or below the current row in the
+    first ``pivot_cols`` columns; a column without one is skipped.  Every
+    division is exact: after the k-th pivot step each entry below the pivot
+    rows is a (k+1)x(k+1) minor of the row-permuted input.  Returns the pivot
+    columns in order (their count is the rank of that column block) and the
+    sign of the row permutation.
+    """
+    n = len(work)
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(pivot_cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        top = work[r][col:]
+        p = top[0]
+        # entries left of col are zero in every row from r down
+        for row in work[r + 1 :]:
+            f = row[col]
+            if f:
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
+            elif p != prev:
+                row[col:] = [p * x // prev for x in row[col:]]
+        prev = p
+        pivots.append(col)
+    return pivots, sign
+
+
 def determinant(mat):
     """Exact determinant by Bareiss fraction-free elimination."""
     if not mat.is_square():
@@ -124,138 +168,94 @@ def determinant(mat):
     work = []
     scale = 1
     for row in mat.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        work.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (pivot * work[i][j] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = pivot
+        ints, den = clear_denominators(row)
+        scale *= den
+        work.append(ints)
+    pivots, sign = _bareiss(work, n)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def mat_inverse(mat):
-    """Exact inverse via Gauss-Jordan elimination.
+    """Exact inverse, as the solution of M X = I.
 
     Raises SingularMatrixError carrying the rank when the matrix is singular.
     """
     if not mat.is_square():
         raise ValueError("inverse needs a square matrix")
-    n = mat.rows
-    a = [row[:] for row in mat.entries]
-    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, n):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv[rank], inv[pivot_row] = inv[pivot_row], inv[rank]
-        pivot = a[rank][col]
-        a[rank] = [x / pivot for x in a[rank]]
-        inv[rank] = [x / pivot for x in inv[rank]]
-        for i in range(n):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[rank])]
-        rank += 1
-    if rank < n:
-        raise SingularMatrixError("matrix is singular (rank %d of %d)" % (rank, n), rank=rank)
-    return ExactMatrix(inv)
+    try:
+        return solve_right(mat, ExactMatrix.identity(mat.rows))
+    except UnderdeterminedSystemError as exc:
+        raise SingularMatrixError(
+            "matrix is singular (rank %d of %d)" % (exc.rank, mat.rows), rank=exc.rank
+        ) from exc
 
 
 def rank(mat):
-    """Exact rank by rational row reduction."""
-    a = [row[:] for row in mat.entries]
-    r = 0
-    for col in range(mat.cols):
-        pivot_row = next((i for i in range(r, mat.rows) if a[i][col]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        a[r] = [x / pivot for x in a[r]]
-        for i in range(mat.rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+    """Exact rank by fraction-free elimination."""
+    pivots, _ = _bareiss([clear_denominators(row)[0] for row in mat.entries], mat.cols)
+    return len(pivots)
 
 
 def solve_right(a, b):
     """Solve A X = B exactly for the unique X; A may have more rows than columns.
 
-    Raises UnderdeterminedSystemError when the solution is not unique and
-    InconsistentSystemError when there is none.
+    Each row of [A|B] is cleared to integers and eliminated fraction-free.
+    With D the last pivot (the determinant of the d pivot rows of A), D X is
+    integral by Cramer's rule, so back substitution divides exactly.
+
+    Raises UnderdeterminedSystemError (carrying the rank of A) when the
+    solution is not unique and InconsistentSystemError when there is none.
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    n, d, t = a.rows, a.cols, b.cols
-    aug = [a.entries[i][:] + b.entries[i][:] for i in range(n)]
-    r = 0
-    pivots = []
-    for col in range(d):
-        pivot_row = next((i for i in range(r, n) if aug[i][col]), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][col]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if r < d:
-        raise UnderdeterminedSystemError("system rank %d < %d unknowns" % (r, d))
-    for i in range(r, n):
-        if any(aug[i][d:]):
-            raise InconsistentSystemError("system has no exact solution")
-    x = [[Fraction(0)] * t for _ in range(d)]
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][d:]
-    return ExactMatrix(x, cols=t)
+    d, t = a.cols, b.cols
+    work = [clear_denominators(ra + rb)[0] for ra, rb in zip(a.entries, b.entries)]
+    pivots, _ = _bareiss(work, d)
+    if len(pivots) < d:
+        raise UnderdeterminedSystemError("system rank %d < %d unknowns" % (len(pivots), d), rank=len(pivots))
+    if any(any(row[d:]) for row in work[d:]):
+        raise InconsistentSystemError("system has no exact solution")
+    det = work[d - 1][d - 1] if d else 1
+    x = [None] * d
+    for k in range(d - 1, -1, -1):
+        row = work[k]
+        acc = [det * y for y in row[d:]]
+        for j in range(k + 1, d):
+            u = row[j]
+            if u:
+                acc = [s - u * v for s, v in zip(acc, x[j])]
+        p = row[k]
+        x[k] = [s // p for s in acc]
+    return ExactMatrix([[Fraction(v, det) for v in row] for row in x], cols=t)
 
 
 def charpoly(mat):
     """Characteristic polynomial det(xI - M), monic, coefficients ascending.
 
-    Faddeev-LeVerrier iteration: every division is by an integer, so the
-    result is exact for rational input.
+    Division-free Berkowitz recursion (Berkowitz 1984) on the integer matrix
+    L M, L the common denominator of M; then c_k(M) = c_k(L M) / L^(n-k).
     """
     if not mat.is_square():
         raise ValueError("charpoly needs a square matrix")
     n = mat.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m_k = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        m_k = mat * m_k
-        c = -m_k.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            m_k = m_k + ExactMatrix.identity(n) * c
-    return coeffs
+    flat, scale = clear_denominators([x for row in mat.entries for x in row])
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    # descending coefficients of the charpoly of the trailing block m[r:, r:]
+    vec = [1]
+    for r in range(n - 1, -1, -1):
+        top = m[r][r + 1 :]
+        sub = [row[r + 1 :] for row in m[r + 1 :]]
+        v = [row[r] for row in m[r + 1 :]]
+        # first column of the Toeplitz factor: 1, -a, -R C, -R A C, ..., -R A^(s-2) C
+        toeplitz = [1, -m[r][r]]
+        for k in range(n - r - 1):
+            toeplitz.append(-sum(map(mul, top, v)))
+            if k < n - r - 2:
+                v = [sum(map(mul, row, v)) for row in sub]
+        vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i + 1, len(vec)))) for i in range(n - r + 1)]
+    return [Fraction(vec[n - k], scale ** (n - k)) for k in range(n + 1)]
 
 
 def _odd_product(lo, hi, base, expo):

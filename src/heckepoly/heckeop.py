@@ -1,18 +1,20 @@
 """End-to-end Hecke matrix pipeline.
 
 Builds the Gram-style matrices S1 (pairings of the base period polynomials)
-and S2 (pairings against the corrected index-m polynomials) and solves
-T_m = S1^-1 S2.  Complete for level 2; levels 3..5 run in an experimental
-mode where a failed basis is surfaced, never patched.
+and S2 (pairings against the corrected index-m polynomials) from integer
+coefficient vectors over one denominator per polynomial, and solves
+S1 T_m = S2 fraction-free.  Complete for level 2; levels 3..5 run in an
+experimental mode where a failed basis is surfaced, never patched.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-from .errors import BasisDeficientError, EmptySpaceError, LevelError, SingularMatrixError
-from .exactlinalg import ExactMatrix, charpoly, mat_inverse
+from .errors import BasisDeficientError, EmptySpaceError, LevelError, UnderdeterminedSystemError
+from .exactlinalg import ExactMatrix, charpoly, clear_denominators, solve_right
 from .heckesum import r_minus_hecke
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
-from .polyring import coeff_inner_product
 
 # dim S_k(Gamma0(N)) for N in {3, 4, 5}, even weight k; values from the
 # standard genus-0 dimension count for these index <= 6 groups, spot-checked
@@ -89,6 +91,11 @@ class HeckeComputation:
         return charpoly(self.t)
 
 
+def _gram(rows, cols):
+    """Coefficient dot products of cleared polynomials (v, D), paired in integers."""
+    return ExactMatrix([[Fraction(sum(map(mul, u, v)), du * dv) for v, dv in cols] for u, du in rows])
+
+
 def hecke_computation(level, w, m):
     """Compute T_m on the weight-(w+2) cusp space, with S1, S2 retained.
 
@@ -111,13 +118,13 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "dimension %d exceeds the %d even period indices available at w = %d" % (d, (w - 2) // 2, w)
         )
-    base = [s_poly(PeriodContext(level, w, n)) for n in indices]
-    images = [r_minus_hecke(PeriodContext(level, w, n), m) for n in indices]
-    s1 = ExactMatrix([[coeff_inner_product(bi, bj) for bj in base] for bi in base])
-    s2 = ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
+    base = [clear_denominators(s_poly(PeriodContext(level, w, n)).coeffs) for n in indices]
+    images = [clear_denominators(r_minus_hecke(PeriodContext(level, w, n), m).coeffs) for n in indices]
+    s1 = _gram(base, base)
+    s2 = _gram(base, images)
     try:
-        t = mat_inverse(s1) * s2
-    except SingularMatrixError as exc:
+        t = solve_right(s1, s2)
+    except UnderdeterminedSystemError as exc:
         raise BasisDeficientError(
             "period polynomials of indices %s are dependent (rank %s); no basis at level %d, w = %d"
             % (indices, exc.rank, level, w)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import UnsupportedParityError
 from .exactnum import bernoulli_poly0, divisors, moebius, sigma
-from .polyring import BoundedPolynomial, compose_linear, reciprocal_scale
+from .polyring import BoundedPolynomial, reciprocal_scale, scale_argument
 
 
 class IntMat2(NamedTuple):
@@ -86,9 +86,9 @@ def diagonal_sum(ctx, m):
         if gcd(a, level) != 1:
             continue
         d = m // a
-        scaled = reciprocal_scale(compose_linear(bernoulli_poly0(nt + 1), d, 0), level, w)
+        scaled = reciprocal_scale(scale_argument(bernoulli_poly0(nt + 1), d), level, w)
         total = total + Fraction(a**n * level**nt, nt + 1) * scaled
-        total = total - Fraction(d**nt, n + 1) * compose_linear(bernoulli_poly0(n + 1), a, 0).with_bound(w)
+        total = total - Fraction(d**nt, n + 1) * scale_argument(bernoulli_poly0(n + 1), a).with_bound(w)
     return total
 
 
@@ -116,7 +116,7 @@ def moebius_correction(ctx, m):
             continue
         for c in divisors(m // level):
             scale = m * d // (c * level)
-            poly = reciprocal_scale(compose_linear(bernoulli_poly0(n + 1), scale, 0), level, w)
+            poly = reciprocal_scale(scale_argument(bernoulli_poly0(n + 1), scale), level, w)
             acc = acc + Fraction(mu * c**nt * level**w, d**n * (n + 1)) * poly
     return -acc
 

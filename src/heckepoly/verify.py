@@ -1,13 +1,10 @@
 """Named verification suites behind the CLI ``verify`` subcommand.
 
 Each suite is a list of independent named checks; a check passes silently or
-fails with a detail string.  Workers (HECKEPOLY_WORKERS) may fan the checks
-out over threads; results aggregate in submission order either way.
+fails with a detail string.  Results come back in submission order.
 """
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
@@ -47,23 +44,14 @@ class Check(NamedTuple):
     run: Callable[[], None]  # raises AssertionError (or anything) on failure
 
 
-def _run_checks(checks, workers=None):
-    if workers is None:
-        workers = int(os.environ.get("HECKEPOLY_WORKERS", "1"))
-
-    def evaluate(check):
-        try:
-            check.run()
-            return CheckResult(check.name, True, "")
-        except AssertionError as exc:
-            return CheckResult(check.name, False, str(exc) or "assertion failed")
-        except Exception as exc:  # surface, never swallow
-            return CheckResult(check.name, False, "%s: %s" % (type(exc).__name__, exc))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, checks))
-    return [evaluate(c) for c in checks]
+def _evaluate(check):
+    try:
+        check.run()
+        return CheckResult(check.name, True, "")
+    except AssertionError as exc:
+        return CheckResult(check.name, False, str(exc) or "assertion failed")
+    except Exception as exc:  # surface, never swallow
+        return CheckResult(check.name, False, "%s: %s" % (type(exc).__name__, exc))
 
 
 def _poly(coeffs, bound=None):
@@ -141,6 +129,14 @@ def _check_paper_t3_level4():
     # the published 3x3 entries pair the image polynomials in the first slot,
     # i.e. they are S1^-1 S2^T in this module's convention
     assert mat_inverse(comp.s1) * comp.s2.transpose() == printed
+    # column action: the image of base[j] is sum_k T[k, j] * base[k]
+    assert comp.basis_indices == [2, 4, 6]
+    base = [s_poly(PeriodContext(4, 8, n)) for n in comp.basis_indices]
+    for j, n in enumerate(comp.basis_indices):
+        combo = sum((comp.t[k, j] * b for k, b in enumerate(base)), BoundedPolynomial.zero(8))
+        assert r_minus_hecke(PeriodContext(4, 8, n), 3) == combo, "column action fails for index %d" % n
+    # the published entries are the coefficient-pairing adjoint S1^-1 T^t S1
+    assert comp.s1 * printed == comp.t.transpose() * comp.s1
 
 
 def _check_paper_t2_delta():
@@ -332,7 +328,7 @@ SUITES = {
 _BOUNDED = {"bases", "theorem14", "oracle", "assembly", "hecke-relations"}
 
 
-def run_suite(name, max_weight=None, workers=None):
+def run_suite(name, max_weight=None):
     """Run one named suite; returns the ordered list of CheckResults."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
@@ -341,4 +337,4 @@ def run_suite(name, max_weight=None, workers=None):
         checks = builder(max_weight)
     else:
         checks = builder()
-    return _run_checks(checks, workers=workers)
+    return [_evaluate(check) for check in checks]

@@ -152,3 +152,163 @@ def test_hankel_input_guards():
         hankel_bernoulli(4, 1)
     with pytest.raises(ValueError):
         hankel_bernoulli(1, 0)
+
+
+# Independent oracles: textbook Gauss-Jordan and Faddeev-LeVerrier over
+# Fraction, the methods the integer kernels replaced.
+
+
+def _gauss_jordan(a_rows, b_rows):
+    """Reduced row echelon form of [A|B]; returns (rows, pivot columns of A)."""
+    d = len(a_rows[0]) if a_rows else 0
+    aug = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a_rows, b_rows)]
+    pivots = []
+    for col in range(d):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        aug[r] = [x / aug[r][col] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    return aug, pivots
+
+
+def _faddeev_leverrier(rows):
+    n = len(rows)
+    mat = ExactMatrix(rows, cols=n)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m_k = ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        m_k = mat * m_k
+        c = -m_k.trace() / k
+        coeffs[n - k] = c
+        m_k = m_k + ExactMatrix.identity(n) * c
+    return coeffs
+
+
+def _random_rational(rng, bound=9, den=6):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+
+def _random_rows(rng, rows, cols):
+    return [[_random_rational(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def _combinations(rng, basis, count):
+    """count random integer combinations of the rows in basis: rank <= len(basis)."""
+    rows = []
+    for _ in range(count):
+        weights = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(c * v[j] for c, v in zip(weights, basis)) for j in range(len(basis[0]))])
+    return rows
+
+
+def test_solve_right_matches_gauss_jordan_square_and_tall():
+    rng = random.Random(101)
+    checked = 0
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        n = d + rng.choice([0, 0, 1, 3])
+        t = rng.randint(1, 4)
+        a_rows = _random_rows(rng, n, d)
+        if n > d:
+            # consistent tall system: B = A X0
+            x0 = ExactMatrix(_random_rows(rng, d, t))
+            b_rows = (ExactMatrix(a_rows) * x0).entries
+        else:
+            b_rows = _random_rows(rng, n, t)
+        aug, pivots = _gauss_jordan(a_rows, b_rows)
+        if len(pivots) < d:
+            continue
+        expected = ExactMatrix([row[d:] for row in aug[:d]], cols=t)
+        assert solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows)) == expected
+        checked += 1
+    assert checked >= 40
+
+
+def test_solve_right_zero_leading_pivot():
+    a = ExactMatrix([[0, 2, 1], [Fraction(1, 3), 0, 5], [4, Fraction(-1, 2), 0]])
+    b = ExactMatrix([[1, 0], [Fraction(2, 7), 3], [0, -1]])
+    aug, pivots = _gauss_jordan(a.entries, b.entries)
+    assert pivots == [0, 1, 2]
+    x = solve_right(a, b)
+    assert x == ExactMatrix([row[3:] for row in aug])
+    assert a * x == b
+    # a zero first column below a nonzero pivot, in a tall system
+    a = ExactMatrix([[0, 1], [0, 0], [3, 0], [0, 2]])
+    b = ExactMatrix([[5], [0], [Fraction(9, 2)], [10]])
+    assert solve_right(a, b) == ExactMatrix([[Fraction(3, 2)], [5]])
+
+
+def test_solve_right_error_kinds_match_oracle():
+    rng = random.Random(202)
+    seen = {"under": 0, "inconsistent": 0}
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        n = d + rng.randint(0, 3)
+        basis = _random_rows(rng, rng.randint(1, d - 1), d)
+        # rows drawn from a lower-dimensional span: rank(A) < d
+        a_rows = _combinations(rng, basis, n)
+        # a random B is mostly inconsistent too: non-uniqueness is what is reported
+        b_rows = _random_rows(rng, n, 2)
+        _, pivots = _gauss_jordan(a_rows, b_rows)
+        with pytest.raises(UnderdeterminedSystemError) as info:
+            solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows))
+        assert info.value.rank == len(pivots)
+        seen["under"] += 1
+        # full column rank, tall, with a right-hand side off the column span
+        a_rows = _random_rows(rng, d + 1, d)
+        if len(_gauss_jordan(a_rows, [[0]] * (d + 1))[1]) < d:
+            continue
+        b_rows = _random_rows(rng, d + 1, 1)
+        aug, _ = _gauss_jordan(a_rows, b_rows)
+        if aug[d][d] == 0:
+            continue
+        with pytest.raises(InconsistentSystemError):
+            solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows))
+        seen["inconsistent"] += 1
+    assert seen["under"] == 60 and seen["inconsistent"] >= 40
+
+
+def test_rank_matches_gauss_jordan():
+    rng = random.Random(303)
+    deficient = 0
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        basis = _random_rows(rng, rng.randint(1, min(rows, cols)), cols)
+        entries = _combinations(rng, basis, rows)
+        expected = len(_gauss_jordan(entries, [[]] * rows)[1])
+        assert rank(ExactMatrix(entries)) == expected
+        deficient += expected < min(rows, cols)
+    assert deficient >= 10
+
+
+def test_inverse_is_solve_against_identity():
+    rng = random.Random(404)
+    for n in range(1, 7):
+        rows = _random_rows(rng, n, n)
+        aug, pivots = _gauss_jordan(rows, ExactMatrix.identity(n).entries)
+        if len(pivots) == n:
+            assert mat_inverse(ExactMatrix(rows)) == ExactMatrix([row[n:] for row in aug])
+    assert mat_inverse(ExactMatrix([], cols=0)) == ExactMatrix([], cols=0)
+
+
+def test_charpoly_matches_faddeev_leverrier():
+    assert charpoly(ExactMatrix([], cols=0)) == [Fraction(1)]
+    assert charpoly(ExactMatrix([[Fraction(-3, 4)]])) == [Fraction(3, 4), Fraction(1)]
+    zero_corner = [[0, Fraction(1, 2), 3], [Fraction(-2, 3), 1, 0], [5, Fraction(1, 7), 0]]
+    assert charpoly(ExactMatrix(zero_corner)) == _faddeev_leverrier(zero_corner)
+    rng = random.Random(505)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        rows = _random_rows(rng, n, n)
+        if rng.random() < 0.3:
+            rows[0][0] = Fraction(0)
+        cp = charpoly(ExactMatrix(rows))
+        assert cp == _faddeev_leverrier(rows)
+        assert all(isinstance(c, Fraction) for c in cp)

@@ -3,6 +3,7 @@ from math import comb, gcd
 
 import pytest
 
+from heckepoly import heckeop
 from heckepoly.errors import BasisDeficientError, EmptySpaceError, LevelError
 from heckepoly.exactlinalg import ExactMatrix, determinant, mat_inverse
 from heckepoly.exactnum import bernoulli_number
@@ -13,8 +14,9 @@ from heckepoly.heckeop import (
     hecke_computation,
     hecke_matrix,
 )
-from heckepoly.heckesum import eigenvalue_w6
-from heckepoly.polyring import BoundedPolynomial
+from heckepoly.heckesum import eigenvalue_w6, r_minus_hecke
+from heckepoly.periodpoly import PeriodContext, s_poly
+from heckepoly.polyring import BoundedPolynomial, coeff_inner_product
 from heckepoly.qoracle import eta_quotient
 
 
@@ -165,3 +167,29 @@ def test_error_paths():
         hecke_matrix(6, 10, 2)
     with pytest.raises(ValueError):
         hecke_matrix(2, 10, 0)
+
+
+def test_integer_gram_and_solve_match_rational_pipeline():
+    # S1/S2 against the Fraction dot product, T against the explicit inverse,
+    # and S1 T = S2 directly, on levels 2..5
+    grid = [(2, 14, 2), (2, 18, 3), (2, 22, 4), (3, 16, 2), (3, 20, 5), (4, 12, 3), (4, 16, 2), (5, 12, 2), (5, 16, 3)]
+    for level, w, m in grid:
+        comp = hecke_computation(level, w, m)
+        base = [s_poly(PeriodContext(level, w, n)) for n in comp.basis_indices]
+        images = [r_minus_hecke(PeriodContext(level, w, n), m) for n in comp.basis_indices]
+        assert comp.s1 == ExactMatrix([[coeff_inner_product(bi, bj) for bj in base] for bi in base])
+        assert comp.s2 == ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
+        assert comp.t == mat_inverse(comp.s1) * comp.s2, (level, w, m)
+        assert comp.s1 * comp.t == comp.s2
+
+
+def test_dependent_basis_names_rank(monkeypatch):
+    real_s_poly = heckeop.s_poly
+
+    def repeated(ctx):
+        # every basis slot gets the index-2 polynomial: S1 has rank 1
+        return real_s_poly(PeriodContext(ctx.level, ctx.w, 2))
+
+    monkeypatch.setattr(heckeop, "s_poly", repeated)
+    with pytest.raises(BasisDeficientError, match=r"dependent \(rank 1\)"):
+        hecke_computation(2, 14, 2)

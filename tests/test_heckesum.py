@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from heckepoly.errors import UnsupportedParityError
+from heckepoly.exactnum import bernoulli_poly0, divisors, moebius
 from heckepoly.heckesum import (
     IntMat2,
     diagonal_sum,
@@ -14,7 +16,7 @@ from heckepoly.heckesum import (
     sign_restricted_sum,
 )
 from heckepoly.periodpoly import PeriodContext, s_poly
-from heckepoly.polyring import BoundedPolynomial
+from heckepoly.polyring import BoundedPolynomial, compose_linear, reciprocal_scale, scale_argument
 from heckepoly.qoracle import eta_quotient
 
 
@@ -141,3 +143,52 @@ def test_eigenvalue_matches_eta_expansion():
     f = eta_quotient([(1, 8), (2, 8)], 40)
     for m in range(1, 40, 2):
         assert eigenvalue_w6(m) == f.coeff(m)
+
+
+def test_scale_argument_is_compose_linear_without_shift():
+    polys = [bernoulli_poly0(k) for k in (1, 2, 5, 9)]
+    polys += [BoundedPolynomial([Fraction(3, 7), 0, -2], bound=6), BoundedPolynomial.zero(4)]
+    for poly in polys:
+        for a in (1, 2, -3, 12, Fraction(-2, 5)):
+            got = scale_argument(poly, a)
+            want = compose_linear(poly, a, 0)
+            assert got == want
+            assert got.bound == want.bound == poly.bound
+
+
+def _diagonal_sum_by_composition(ctx, m):
+    # the binomial-expansion form of diagonal_sum, kept as a reference
+    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
+    total = BoundedPolynomial.zero(w)
+    for a in divisors(m):
+        if gcd(a, level) != 1:
+            continue
+        d = m // a
+        scaled = reciprocal_scale(compose_linear(bernoulli_poly0(nt + 1), d, 0), level, w)
+        total = total + Fraction(a**n * level**nt, nt + 1) * scaled
+        total = total - Fraction(d**nt, n + 1) * compose_linear(bernoulli_poly0(n + 1), a, 0).with_bound(w)
+    return total
+
+
+def _moebius_correction_by_composition(ctx, m):
+    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
+    acc = BoundedPolynomial.zero(w)
+    for d in divisors(level):
+        mu = moebius(level // d)
+        if mu == 0:
+            continue
+        for c in divisors(m // level):
+            scale = m * d // (c * level)
+            poly = reciprocal_scale(compose_linear(bernoulli_poly0(n + 1), scale, 0), level, w)
+            acc = acc + Fraction(mu * c**nt * level**w, d**n * (n + 1)) * poly
+    return -acc
+
+
+def test_scaled_sums_match_binomial_expansion():
+    for level in (2, 3, 4, 5):
+        for w, n in ((6, 2), (10, 4), (14, 6)):
+            ctx = PeriodContext(level, w, n)
+            for m in (1, 2, 6, 12, 20):
+                assert diagonal_sum(ctx, m) == _diagonal_sum_by_composition(ctx, m)
+                if m % level == 0:
+                    assert moebius_correction(ctx, m) == _moebius_correction_by_composition(ctx, m)
