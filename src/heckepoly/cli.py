@@ -37,6 +37,8 @@ from .serialize import (
 from .verify import run_suite
 
 MAX_LEVEL = 10**6
+# |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
+MAX_LIST_M = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,6 +79,8 @@ def _cmd_period_poly(args):
 def _cmd_hecke_sum(args):
     _check_level(args.level)
     if args.list_matrices:
+        if args.m > MAX_LIST_M:
+            raise ValueError("--list-matrices needs m <= %d, got m=%d" % (MAX_LIST_M, args.m))
         _emit([list(mat) for mat in enumerate_H_neg(args.level, args.m)])
         return
     ctx = PeriodContext(args.level, args.w, args.n)
@@ -217,7 +221,11 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     group.add_argument("--corrected", action="store_true", help="apply the correction (default)")
-    p.add_argument("--list-matrices", action="store_true", help="dump the sign-restricted matrix set instead")
+    p.add_argument(
+        "--list-matrices",
+        action="store_true",
+        help="dump the sign-restricted matrix set instead (m <= %d)" % MAX_LIST_M,
+    )
     p.set_defaults(func=_cmd_hecke_sum)
 
     p = sub.add_parser("hecke-matrix", help="T_m = S1^-1 S2 with intermediates")

@@ -1,40 +1,44 @@
 """Exact number-theoretic primitives.
 
 Bernoulli numbers (convention B_1 = -1/2) and the even-index-only Bernoulli
-polynomials B^0_k, divisor power sums, the Moebius function, and small
-factorization helpers.  Everything is exact; nothing here ever rounds.
+polynomials B^0_k, divisor power sums, the Moebius function, and one
+trial-division factorization behind the prime-divisor helpers.  Everything
+is exact; nothing here ever rounds.
 """
 
-import threading
 from fractions import Fraction
 from math import comb, isqrt
 
 from .polyring import BoundedPolynomial
 
-# B_0, B_1 seed the defining recurrence; the cache only ever grows.
+# B_0, B_1 seed the defining recurrence; the cache is only ever replaced by a longer copy.
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli_number(k):
     """Return B_k as a Fraction, under the convention B_1 = -1/2.
 
     Computed by the defining recurrence sum_{i<m} C(m,i) B_i = 0 (m >= 2)
-    with memoization; concurrent callers are serialized on the cache.
+    with memoization.  A miss extends a private copy of the cache and then
+    rebinds it, so the list a caller reads is never mutated and a caller on
+    another thread sees a shorter cache at worst, never a wrong entry.
     """
+    global _bernoulli_cache
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative (use bernoulli_or_zero for the B_l=0, l<0 convention)")
-    if k < len(_bernoulli_cache):
-        return _bernoulli_cache[k]
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= k:
-            m = len(_bernoulli_cache) + 1
-            acc = Fraction(0)
-            for i, b in enumerate(_bernoulli_cache):
-                if b:
-                    acc += comb(m, i) * b
-            _bernoulli_cache.append(-acc / comb(m, m - 1))
-        return _bernoulli_cache[k]
+    cache = _bernoulli_cache
+    if k < len(cache):
+        return cache[k]
+    cache = list(cache)
+    while len(cache) <= k:
+        m = len(cache) + 1
+        acc = Fraction(0)
+        for i, b in enumerate(cache):
+            if b:
+                acc += comb(m, i) * b
+        cache.append(-acc / comb(m, m - 1))
+    _bernoulli_cache = cache
+    return cache[k]
 
 
 def bernoulli_or_zero(k):
@@ -78,36 +82,33 @@ def sigma(k, n):
     return sum(d**k for d in divisors(n))
 
 
-def prime_divisors(n):
-    """Sorted distinct prime divisors of n >= 1, by trial division."""
+def factorize(n):
+    """Prime factorization of n >= 1 as ascending (p, exponent) pairs, by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
-    primes = []
+    factors = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            primes.append(p)
+            r = 0
             while n % p == 0:
                 n //= p
+                r += 1
+            factors.append((p, r))
         p += 1 if p == 2 else 2
     if n > 1:
-        primes.append(n)
-    return primes
+        factors.append((n, 1))
+    return factors
+
+
+def prime_divisors(n):
+    """Sorted distinct prime divisors of n >= 1."""
+    return [p for p, _ in factorize(n)]
 
 
 def moebius(n):
-    """Moebius function mu(n) by trial division."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+    """Moebius function mu(n)."""
+    factors = factorize(n)
+    if any(r > 1 for _, r in factors):
+        return 0
+    return (-1) ** len(factors)

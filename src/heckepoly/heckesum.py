@@ -4,10 +4,26 @@ The index-m analogue of the period polynomial is a sum over the set H_{N,m}
 of integer matrices of determinant m with N | c and gcd(a, N) = 1: a
 sign-restricted part over abcd < 0 plus a diagonal part over ad = m, with a
 Moebius double-sum correction when N | m.
+
+The sign-restricted part is never summed matrix by matrix.  Its members with
+a > 0 are (a, b, -c, d) and (a, -b, c, d) with a, b, c, d > 0, ad = s and
+bc = t = m - s, and X -> (b/a)X turns (aX+b)^n (-cX+d)^nt into
+b^n a^-nt (1+X)^n (s - tX)^nt, so
+
+    [X^k] (aX+b)^n (-cX+d)^nt = a^(k-nt) b^(n-k) [X^k] (1+X)^n (s - tX)^nt.
+
+The pair sums to g(X) - (-1)^n g(-X), which keeps the k with n + k odd,
+doubled.  Summed over the divisor pairs of s and t, each coefficient is one
+"pencil" coefficient times two divisor power sums; negative powers of a
+(of b) are written as powers of d = s/a (of c = t/b) over a power of s
+(of t), and that power divides the product exactly because the product is
+the integer sum of the per-matrix coefficients.
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from itertools import accumulate, repeat
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
@@ -48,47 +64,81 @@ def enumerate_H_neg(level, m):
     return out
 
 
-def _linear_power(a, b, e):
-    # coefficient list of (a*X + b)^e, ascending; plain ints for speed
-    return [comb(e, k) * a**k * b ** (e - k) for k in range(e + 1)]
+def _pencil(n, nt, s, t):
+    """Coefficients of (1+X)^n (s - tX)^nt, ascending, for s != 0.
+
+    From (1+X)(s-tX)P' = (n(s-tX) - nt*t(1+X))P:
+    s(k+1)P_{k+1} = (ns - nt*t - (s-t)k)P_k + t(k-1-w)P_{k-1}, w = n + nt,
+    where every division is exact because P has integer coefficients.
+    """
+    w = n + nt
+    coeffs, prev = [s**nt], 0
+    for k in range(w):
+        cur = coeffs[k]
+        coeffs.append(((n * s - nt * t - (s - t) * k) * cur + t * (k - 1 - w) * prev) // (s * (k + 1)))
+        prev = cur
+    return coeffs
+
+
+def _power_sums(bases, top):
+    """[sum of x^e over x in bases for e = 0..top]."""
+    rows = [accumulate(repeat(x, top), mul, initial=1) for x in bases]
+    return list(map(sum, zip(*rows)))
 
 
 def sign_restricted_sum(ctx, m):
-    """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt.
+    """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt, in closed form.
 
     H_neg is closed under global negation and the two members of an orbit
-    contribute equal summands (w is even), so summing the a > 0
-    representatives once absorbs the 1/2 exactly.
+    contribute equal summands (w is even), so the a > 0 representatives,
+    taken once, carry the 1/2 exactly.  For ad = s, bc = t = m - s their
+    X^k coefficients sum to
+
+        2 P_k (sum of a^(k-nt)) (sum of b^(n-k))    for n + k odd, else 0,
+
+    with P = (1+X)^n (s - tX)^nt (see the module docstring).  For k < nt the
+    a-sum is (sum of d^(nt-k)) / s^(nt-k) and for k > n the b-sum is
+    (sum of c^(k-n)) / t^(k-n); the product is divided once, exactly.
+    N | c forces N | t, so only s = m mod N contribute.
     """
-    n, nt, w = ctx.n, ctx.ntilde, ctx.w
+    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
     acc = [0] * (w + 1)
-    for a, b, c, d in enumerate_H_neg(ctx.level, m):
-        if a < 0:
+    for s in range(1, m):
+        t = m - s
+        if t % level:
             continue
-        sign = 1 if b > 0 else -1
-        left = _linear_power(a, b, n)
-        right = _linear_power(c, d, nt)
-        for i, u in enumerate(left):
-            if not u:
-                continue
-            su = sign * u
-            for j, v in enumerate(right):
-                if v:
-                    acc[i + j] += su * v
+        avals = [a for a in divisors(s) if gcd(a, level) == 1]
+        cvals = [c for c in divisors(t) if c % level == 0]
+        a_sums = _power_sums(avals, n)
+        d_sums = _power_sums([s // a for a in avals], nt)
+        b_sums = _power_sums([t // c for c in cvals], n)
+        c_sums = _power_sums(cvals, nt)
+        pencil = _pencil(n, nt, s, t)
+        for k in range((n + 1) % 2, w + 1, 2):
+            if k >= nt:
+                a_part, den = a_sums[k - nt], 1
+            else:
+                a_part, den = d_sums[nt - k], s ** (nt - k)
+            if k <= n:
+                b_part = b_sums[n - k]
+            else:
+                b_part, den = c_sums[k - n], den * t ** (k - n)
+            acc[k] += 2 * (pencil[k] * a_part * b_part // den)
     return BoundedPolynomial(acc, bound=w)
 
 
 def diagonal_sum(ctx, m):
     """sum over ad = m, a > 0, gcd(a, level) = 1 of the two reciprocal/Bernoulli terms."""
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
+    bern_nt, bern_n = bernoulli_poly0(nt + 1), bernoulli_poly0(n + 1)
     total = BoundedPolynomial.zero(w)
     for a in divisors(m):
         if gcd(a, level) != 1:
             continue
         d = m // a
-        scaled = reciprocal_scale(scale_argument(bernoulli_poly0(nt + 1), d), level, w)
+        scaled = reciprocal_scale(scale_argument(bern_nt, d), level, w)
         total = total + Fraction(a**n * level**nt, nt + 1) * scaled
-        total = total - Fraction(d**nt, n + 1) * scale_argument(bernoulli_poly0(n + 1), a).with_bound(w)
+        total = total - Fraction(d**nt, n + 1) * scale_argument(bern_n, a).with_bound(w)
     return total
 
 
@@ -109,6 +159,7 @@ def moebius_correction(ctx, m):
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
     if m % level:
         raise ValueError("correction only applies when level | m")
+    bern_n = bernoulli_poly0(n + 1)
     acc = BoundedPolynomial.zero(w)
     for d in divisors(level):
         mu = moebius(level // d)
@@ -116,7 +167,7 @@ def moebius_correction(ctx, m):
             continue
         for c in divisors(m // level):
             scale = m * d // (c * level)
-            poly = reciprocal_scale(scale_argument(bernoulli_poly0(n + 1), scale), level, w)
+            poly = reciprocal_scale(scale_argument(bern_n, scale), level, w)
             acc = acc + Fraction(mu * c**nt * level**w, d**n * (n + 1)) * poly
     return -acc
 

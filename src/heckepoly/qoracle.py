@@ -17,7 +17,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, sigma
+from .exactnum import bernoulli_number, factorize, sigma
 from .heckeop import dim_cusp
 
 
@@ -266,22 +266,6 @@ def _hecke_tp(f, p, k):
     return QSeries(f.weight, coeffs, prec=out_prec)
 
 
-def _factorize(m):
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            r = 0
-            while m % p == 0:
-                m //= p
-                r += 1
-            factors.append((p, r))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
 def hecke_on_qseries(f, k, m, out_prec=None):
     """Apply T_m to a weight-k form on Gamma0(2), coefficientwise.
 
@@ -300,7 +284,7 @@ def hecke_on_qseries(f, k, m, out_prec=None):
             required=m * out_prec,
         )
     g = f
-    for p, r in _factorize(m):
+    for p, r in factorize(m):
         if p == 2:
             for _ in range(r):
                 g = _hecke_u2(g)

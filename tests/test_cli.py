@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from heckepoly.cli import main
+from heckepoly.cli import MAX_LIST_M, main
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +77,20 @@ def test_hecke_sum_list_matrices(capsys):
     status, out, _ = run_cli(capsys, "hecke-sum", "--level", "4", "--w", "6", "--n", "2", "--m", "8", "--list-matrices")
     assert status == 0
     assert json.loads(out) == [[-1, -1, 4, -4], [-1, 1, -4, -4], [1, -1, 4, 4], [1, 1, -4, 4]]
+
+
+def test_hecke_sum_list_matrices_cap(capsys):
+    status, out, err = run_cli(
+        capsys, "hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(MAX_LIST_M + 1), "--list-matrices"
+    )
+    assert status == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "PreconditionViolated"
+    status, out, _ = run_cli(
+        capsys, "hecke-sum", "--level", "5", "--w", "6", "--n", "2", "--m", str(MAX_LIST_M), "--list-matrices"
+    )
+    assert status == 0
+    assert len(json.loads(out)) > 0
 
 
 def test_hankel(capsys):

@@ -10,6 +10,7 @@ from heckepoly.exactnum import (
     bernoulli_or_zero,
     bernoulli_poly0,
     divisors,
+    factorize,
     moebius,
     prime_divisors,
     sigma,
@@ -113,3 +114,18 @@ def test_divisors_and_prime_divisors():
     assert prime_divisors(12) == [2, 3]
     assert prime_divisors(1) == []
     assert prime_divisors(97) == [97]
+
+
+def test_factorize_matches_prime_divisors_and_moebius():
+    for n in range(1, 2001):
+        factors = factorize(n)
+        assert [p for p, _ in factors] == prime_divisors(n)
+        product = 1
+        for p, r in factors:
+            assert r >= 1 and all(p % q for q in range(2, p))
+            product *= p**r
+        assert product == n
+        squarefree = all(n % (d * d) for d in range(2, n + 1))
+        assert moebius(n) == ((-1) ** len(factors) if squarefree else 0)
+    with pytest.raises(ValueError):
+        factorize(0)

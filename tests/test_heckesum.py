@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -7,6 +7,7 @@ from heckepoly.errors import UnsupportedParityError
 from heckepoly.exactnum import bernoulli_poly0, divisors, moebius
 from heckepoly.heckesum import (
     IntMat2,
+    _pencil,
     diagonal_sum,
     eigenvalue_w6,
     enumerate_H_neg,
@@ -192,3 +193,50 @@ def test_scaled_sums_match_binomial_expansion():
                 assert diagonal_sum(ctx, m) == _diagonal_sum_by_composition(ctx, m)
                 if m % level == 0:
                     assert moebius_correction(ctx, m) == _moebius_correction_by_composition(ctx, m)
+
+
+def _sign_restricted_sum_by_matrices(ctx, m):
+    # the per-matrix expansion over H_neg that the closed form replaced, kept as the oracle
+    n, nt, w = ctx.n, ctx.ntilde, ctx.w
+    acc = [0] * (w + 1)
+    for a, b, c, d in enumerate_H_neg(ctx.level, m):
+        if a < 0:
+            continue
+        sign = 1 if b > 0 else -1
+        left = [sign * comb(n, i) * a**i * b ** (n - i) for i in range(n + 1)]
+        right = [comb(nt, j) * c**j * d ** (nt - j) for j in range(nt + 1)]
+        for i, u in enumerate(left):
+            for j, v in enumerate(right):
+                acc[i + j] += u * v
+    return BoundedPolynomial(acc, bound=w)
+
+
+def test_sign_restricted_sum_matches_per_matrix_expansion():
+    # every n, odd n included (hecke-sum --raw reaches them); m = 210 and 240 have many
+    # s with gcd(s, m - s) > 1, e.g. s = 6, t = 204 at m = 210
+    def check(level, w, n, m):
+        ctx = PeriodContext(level, w, n)
+        assert sign_restricted_sum(ctx, m) == _sign_restricted_sum_by_matrices(ctx, m), (level, w, n, m)
+
+    for level, prime in ((2, 13), (3, 11), (4, 7), (5, 17), (6, 5), (7, 19)):
+        for m in (1, 2, level, level * level, prime, 210, 240):
+            for w in (2, 4) if m > 200 else (2, 6, 12, 30):
+                for n in range(w + 1):
+                    check(level, w, n, m)
+    for n in (0, 1, 2, 15, 28, 29, 30):
+        check(5, 30, n, 240)
+        check(7, 30, n, 210)
+
+
+def test_pencil_recurrence_matches_binomial_convolution():
+    for n in range(7):
+        for nt in range(7):
+            for s in (1, 2, 5, -3, 12):
+                for t in (0, 1, 4, -2, 7, 30):
+                    left = [comb(n, i) for i in range(n + 1)]
+                    right = [comb(nt, j) * s ** (nt - j) * (-t) ** j for j in range(nt + 1)]
+                    want = [0] * (n + nt + 1)
+                    for i, u in enumerate(left):
+                        for j, v in enumerate(right):
+                            want[i + j] += u * v
+                    assert _pencil(n, nt, s, t) == want, (n, nt, s, t)
