@@ -39,6 +39,10 @@ from .verify import run_suite
 MAX_LEVEL = 10**6
 # |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
 MAX_LIST_M = 1000
+# the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
+MAX_SUM_M = 10**5
+# q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 and oracle-matrix --weight 40 take ~10 s
+MAX_PREC = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +87,8 @@ def _cmd_hecke_sum(args):
             raise ValueError("--list-matrices needs m <= %d, got m=%d" % (MAX_LIST_M, args.m))
         _emit([list(mat) for mat in enumerate_H_neg(args.level, args.m)])
         return
+    if args.m > MAX_SUM_M:
+        raise ValueError("hecke-sum needs m <= %d, got m=%d" % (MAX_SUM_M, args.m))
     ctx = PeriodContext(args.level, args.w, args.n)
     corrected = not args.raw
     poly = r_minus_hecke(ctx, args.m) if corrected else s_poly_m(ctx, args.m)
@@ -147,6 +153,8 @@ def _parse_eta_parts(spec):
 
 def _cmd_qexp(args):
     form = args.form
+    if not 0 <= args.prec <= MAX_PREC:
+        raise ValueError("prec must be between 0 and %d, got %d" % (MAX_PREC, args.prec))
     kind, _, rest = form.partition(":")
     if not rest:
         raise ValueError("form must look like 'eta:1^8,2^8', 'E:k', 'Einf:k' or 'E0:k'")
@@ -171,7 +179,11 @@ def _cmd_qexp(args):
 
 
 def _cmd_oracle_matrix(args):
-    prec = args.prec if args.prec else default_precision(args.weight, args.m)
+    if args.prec < 0:
+        raise ValueError("prec must be positive (0 selects the default), got %d" % args.prec)
+    prec = args.prec or default_precision(args.weight, args.m)
+    if prec > MAX_PREC:
+        raise ValueError("prec %d exceeds the cap %d" % (prec, MAX_PREC))
     t = hecke_matrix_oracle(args.weight, args.m, prec=prec)
     _emit(
         {
@@ -217,7 +229,7 @@ def build_parser():
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_SUM_M)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     group.add_argument("--corrected", action="store_true", help="apply the correction (default)")
@@ -248,13 +260,13 @@ def build_parser():
 
     p = sub.add_parser("qexp", help="q-expansion of eta quotients / Eisenstein series")
     p.add_argument("--form", required=True, help="'eta:1^8,2^8', 'E:k', 'Einf:k', or 'E0:k'")
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--prec", type=int, default=20, help="0 <= prec <= %d" % MAX_PREC)
     p.set_defaults(func=_cmd_qexp)
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, default=0, help="0 means the Sturm-bound policy default")
+    p.add_argument("--prec", type=int, default=0, help="0 means the Sturm-bound default; prec <= %d" % MAX_PREC)
     p.set_defaults(func=_cmd_oracle_matrix)
 
     p = sub.add_parser("verify", help="run a named verification suite")

@@ -17,10 +17,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactnum import bernoulli_number
-
-
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .polyring import _as_fraction
 
 
 class ExactMatrix:

@@ -14,6 +14,20 @@ def _as_fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def convolve(a, b, length):
+    """Coefficients 0 .. length-1 of the product of two ascending coefficient lists.
+
+    The package's one convolution loop, for ints and Fractions; pass a sparse operand first.
+    """
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        if x:
+            for j, y in enumerate(b[: length - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
 class BoundedPolynomial:
     """Polynomial in one variable X with Fraction coefficients and degree <= bound."""
 
@@ -90,14 +104,7 @@ class BoundedPolynomial:
     def __mul__(self, other):
         if isinstance(other, BoundedPolynomial):
             bound = self.bound + other.bound
-            coeffs = [Fraction(0)] * (bound + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        coeffs[i + j] += a * b
-            return BoundedPolynomial(coeffs, bound=bound)
+            return BoundedPolynomial(convolve(self.coeffs, other.coeffs, bound + 1), bound=bound)
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             return BoundedPolynomial([c * x for x in self.coeffs], bound=self.bound)

@@ -1,13 +1,16 @@
 """Independent q-expansion verification channel for level 2.
 
-Truncated q-series with exact rational coefficients: eta quotients via the
-pentagonal number theorem, Eisenstein series at both cusps of Gamma0(2),
+Truncated q-series (integer numerators over one denominator): eta quotients via
+the pentagonal number theorem, Eisenstein series at both cusps of Gamma0(2),
 Hecke action on coefficients, a runtime-verified cusp-form basis, and oracle
 Hecke matrices to cross-check the period-polynomial pipeline.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BasisDeficientError,
@@ -16,23 +19,21 @@ from .errors import (
     PrecisionError,
     UnderdeterminedSystemError,
 )
-from .exactlinalg import ExactMatrix, rank, solve_right
+from .exactlinalg import ExactMatrix, clear_denominators, rank, solve_right
 from .exactnum import bernoulli_number, factorize, sigma
 from .heckeop import dim_cusp
-
-
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .polyring import _as_fraction, convolve
 
 
 class QSeries:
-    """Truncated power series in q: coefficients a_0 .. a_prec, all exact.
+    """Truncated power series in q: a_n = num[n] / den for n = 0 .. prec, all exact.
 
-    ``weight`` tags the modular weight of the form the series expands.
-    Arithmetic never claims coefficients beyond what the operands support.
+    ``num`` are ints over the least positive common denominator ``den``, so an
+    integer series (den = 1) never leaves ``int``.  ``weight`` tags the modular
+    weight of the form; arithmetic never claims coefficients the operands lack.
     """
 
-    __slots__ = ("weight", "prec", "coeffs")
+    __slots__ = ("weight", "prec", "num", "den")
 
     def __init__(self, weight, coeffs, prec=None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -40,43 +41,55 @@ class QSeries:
             prec = len(coeffs) - 1
         if prec < 0:
             raise ValueError("prec must be nonnegative")
-        if len(coeffs) < prec + 1:
-            coeffs.extend([Fraction(0)] * (prec + 1 - len(coeffs)))
-        self.weight = weight
-        self.prec = prec
-        self.coeffs = coeffs[: prec + 1]
+        self.weight, self.prec = weight, prec
+        self.num, self.den = clear_denominators(coeffs[: prec + 1] + [0] * (prec + 1 - len(coeffs)))
+
+    @classmethod
+    def _over(cls, weight, num, den):
+        """Series num[n] / den (den > 0), reduced to the least common denominator."""
+        g = gcd(den, *num)
+        series = cls.__new__(cls)
+        series.weight, series.prec = weight, len(num) - 1
+        series.num, series.den = ([x // g for x in num], den // g) if g > 1 else (num, den)
+        return series
+
+    @property
+    def coeffs(self):
+        return [Fraction(x, self.den) for x in self.num]
 
     def coeff(self, n):
         if n < 0:
             return Fraction(0)
         if n > self.prec:
             raise PrecisionError("coefficient %d beyond precision %d" % (n, self.prec), required=n)
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
     def prefix(self, n):
         """Tuple (a_0, ..., a_n); errors if n exceeds the precision."""
         if n > self.prec:
             raise PrecisionError("prefix %d beyond precision %d" % (n, self.prec), required=n)
-        return tuple(self.coeffs[: n + 1])
+        return tuple(Fraction(x, self.den) for x in self.num[: n + 1])
 
     def truncate(self, prec):
         if prec > self.prec:
             raise PrecisionError("cannot extend precision %d to %d" % (self.prec, prec), required=prec)
-        return QSeries(self.weight, self.coeffs[: prec + 1], prec=prec)
+        return QSeries._over(self.weight, self.num[: prec + 1], self.den)
 
     def is_cuspidal(self):
-        return self.coeffs[0] == 0
+        return self.num[0] == 0
 
     def __neg__(self):
-        return QSeries(self.weight, [-c for c in self.coeffs], prec=self.prec)
+        return QSeries._over(self.weight, [-x for x in self.num], self.den)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.weight != other.weight:
             raise ValueError("weight mismatch: %s vs %s" % (self.weight, other.weight))
-        prec = min(self.prec, other.prec)
-        return QSeries(self.weight, [self.coeffs[i] + other.coeffs[i] for i in range(prec + 1)], prec=prec)
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        # zip stops at the shorter series, i.e. at the smaller precision
+        return QSeries._over(self.weight, [u * x + v * y for x, y in zip(self.num, other.num)], den)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -85,20 +98,13 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            prec = min(self.prec, other.prec)
-            out = [Fraction(0)] * (prec + 1)
-            for i in range(prec + 1):
-                a = self.coeffs[i]
-                if not a:
-                    continue
-                for j in range(prec + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QSeries(self.weight + other.weight, out, prec=prec)
+            length = min(self.prec, other.prec) + 1
+            return QSeries._over(
+                self.weight + other.weight, convolve(self.num, other.num, length), self.den * other.den
+            )
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return QSeries(self.weight, [c * x for x in self.coeffs], prec=self.prec)
+            return QSeries._over(self.weight, [c.numerator * x for x in self.num], self.den * c.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -118,37 +124,29 @@ class QSeries:
         return result
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(c) for c in self.prefix(min(self.prec, 5)))
         return "QSeries(weight=%s, prec=%d, coeffs=[%s, ...])" % (self.weight, self.prec, head)
 
 
 def _series_inverse(coeffs, prec):
-    # reciprocal of a unit power series, coefficients ascending
-    a0 = coeffs[0]
-    if not a0:
-        raise ValueError("series with zero constant term is not invertible")
-    inv = [Fraction(0)] * (prec + 1)
-    inv[0] = 1 / a0
+    # reciprocal of an integer power series with constant term 1, coefficients ascending
+    terms = [(i, c) for i, c in enumerate(coeffs[1 : prec + 1], 1) if c]
+    inv = [1]
     for n in range(1, prec + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(coeffs) - 1) + 1):
-            if coeffs[i]:
-                acc += coeffs[i] * inv[n - i]
-        inv[n] = -acc / a0
+        inv.append(-sum(c * inv[n - i] for i, c in terms if i <= n))
     return inv
 
 
 def _euler_factor(delta, prec):
     # prod_{n>=1} (1 - q^(delta n)) by the pentagonal number theorem
-    coeffs = [Fraction(0)] * (prec + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * prec
     g = 1
     while True:
         p1 = delta * g * (3 * g - 1) // 2
         p2 = delta * g * (3 * g + 1) // 2
         if p1 > prec and p2 > prec:
             break
-        s = Fraction((-1) ** g)
+        s = (-1) ** g
         if p1 <= prec:
             coeffs[p1] += s
         if p2 <= prec:
@@ -179,24 +177,14 @@ def eta_quotient(parts, prec):
     inner = prec - lead
     if inner < 0:
         raise ValueError("prec %d below the leading exponent %d" % (prec, lead))
-    prod = [Fraction(1)] + [Fraction(0)] * inner
+    prod = [1] + [0] * inner
     for delta, r in parts:
         factor = _euler_factor(delta, inner)
         if r < 0:
             factor = _series_inverse(factor, inner)
-            r = -r
-        for _ in range(r):
-            out = [Fraction(0)] * (inner + 1)
-            for i, a in enumerate(prod):
-                if not a:
-                    continue
-                for j in range(inner + 1 - i):
-                    b = factor[j]
-                    if b:
-                        out[i + j] += a * b
-            prod = out
-    coeffs = [Fraction(0)] * lead + prod
-    return QSeries(rsum // 2, coeffs, prec=prec)
+        for _ in range(abs(r)):
+            prod = convolve(factor, prod, inner + 1)
+    return QSeries._over(rsum // 2, [0] * lead + prod, 1)
 
 
 def eisenstein_level1(k, prec):
@@ -208,18 +196,17 @@ def eisenstein_level1(k, prec):
     if k < 2 or k % 2:
         raise ValueError("k must be an even integer >= 2")
     c = Fraction(-2 * k) / bernoulli_number(k)
-    coeffs = [Fraction(1)] + [c * sigma(k - 1, n) for n in range(1, prec + 1)]
-    return QSeries(k, coeffs, prec=prec)
+    num = [c.denominator] + [c.numerator * sigma(k - 1, n) for n in range(1, prec + 1)]
+    return QSeries._over(k, num, c.denominator)
 
 
 def scale_variable(f, t):
     """f(t z): coefficient a_n moves to q^(t n)."""
     if t < 1:
         raise ValueError("scale must be positive")
-    coeffs = [Fraction(0)] * (f.prec + 1)
-    for n in range(f.prec // t + 1):
-        coeffs[t * n] = f.coeffs[n]
-    return QSeries(f.weight, coeffs, prec=f.prec)
+    num = [0] * (f.prec + 1)
+    num[::t] = f.num[: f.prec // t + 1]
+    return QSeries._over(f.weight, num, f.den)
 
 
 def m2_weight2(prec):
@@ -250,20 +237,15 @@ def eisenstein_gamma02(k, cusp, prec):
 
 
 def _hecke_u2(f):
-    out_prec = f.prec // 2
-    return QSeries(f.weight, [f.coeffs[2 * n] for n in range(out_prec + 1)], prec=out_prec)
+    return QSeries._over(f.weight, f.num[::2], f.den)
 
 
 def _hecke_tp(f, p, k):
-    out_prec = f.prec // p
+    num = f.num[::p]
     scale = p ** (k - 1)
-    coeffs = []
-    for n in range(out_prec + 1):
-        c = f.coeffs[n * p]
-        if n % p == 0:
-            c += scale * f.coeffs[n // p]
-        coeffs.append(c)
-    return QSeries(f.weight, coeffs, prec=out_prec)
+    for n in range(0, len(num), p):
+        num[n] += scale * f.num[n // p]
+    return QSeries._over(f.weight, num, f.den)
 
 
 def hecke_on_qseries(f, k, m, out_prec=None):
@@ -313,12 +295,11 @@ def cusp_basis_gamma02(k, prec):
     d8 = eta_quotient([(1, 8), (2, 8)], prec)
     m2 = m2_weight2(prec)
     e4 = eisenstein_level1(4, prec)
-    basis = []
-    for b in range((k - 8) // 4 + 1):
-        a = (k - 8 - 4 * b) // 2
-        f = d8 * m2**a * e4**b
-        basis.append(QSeries(k, f.coeffs, prec=f.prec))
-    return basis
+    # b falls from its largest value while a = (k - 8 - 4b)/2 climbs by 2 from 0 or 1
+    steps = (k - 8) // 4
+    e4_powers = accumulate(repeat(e4, steps), mul, initial=QSeries(0, [1], prec=prec))
+    heads = accumulate(repeat(m2 * m2, steps), mul, initial=d8 * m2 if k % 4 else d8)
+    return [head * e4_power for head, e4_power in zip(heads, reversed(list(e4_powers)))][::-1]
 
 
 def default_precision(k, m=1):

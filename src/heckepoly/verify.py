@@ -226,7 +226,7 @@ def suite_theorem14(max_weight=40):
     return [make(k) for k in range(8, max_weight + 1, 2)]
 
 
-def suite_oracle(max_weight=24):
+def suite_oracle(max_weight=40):
     def make(k, m):
         def run():
             assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_computation(2, k - 2, m).t)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from heckepoly.cli import MAX_LIST_M, main
+from heckepoly.cli import MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +91,44 @@ def test_hecke_sum_list_matrices_cap(capsys):
     )
     assert status == 0
     assert len(json.loads(out)) > 0
+
+
+def test_hecke_sum_m_cap(capsys):
+    status, out, err = run_cli(capsys, "hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(MAX_SUM_M + 1))
+    assert status == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "PreconditionViolated"
+    with pytest.raises(SystemExit):
+        main(["hecke-sum", "--help"])
+    assert "m <= %d" % MAX_SUM_M in capsys.readouterr().out
+
+
+def test_q_series_precision_cap(capsys):
+    for argv in (
+        ("qexp", "--form", "E:4", "--prec", str(MAX_PREC + 1)),
+        ("qexp", "--form", "eta:1^8,2^8", "--prec", "-1"),
+        ("oracle-matrix", "--weight", "12", "--m", "2", "--prec", str(MAX_PREC + 1)),
+        # the default precision m (k/4 + 2) = 2005 exceeds the cap
+        ("oracle-matrix", "--weight", "12", "--m", str(MAX_PREC // 5 + 1)),
+    ):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1, argv
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PreconditionViolated"
+        assert str(MAX_PREC) in error["message"]
+    status, out, _ = run_cli(capsys, "qexp", "--form", "E:4", "--prec", str(MAX_PREC))
+    assert status == 0
+    assert len(json.loads(out)["coeffs"]) == MAX_PREC + 1
+
+
+def test_oracle_matrix_negative_prec(capsys):
+    status, out, err = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "2", "--prec", "-4")
+    assert status == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "PreconditionViolated"
+    assert "prec must be positive" in error["message"]
 
 
 def test_hankel(capsys):

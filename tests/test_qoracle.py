@@ -1,10 +1,15 @@
+import hashlib
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from heckepoly.cli import main
 from heckepoly.errors import EmptySpaceError, PrecisionError
 from heckepoly.exactlinalg import ExactMatrix, charpoly, rank, solve_right
-from heckepoly.heckeop import dim_cusp
+from heckepoly.exactnum import bernoulli_number, sigma
+from heckepoly.heckeop import dim_cusp, hecke_matrix
 from heckepoly.qoracle import (
     QSeries,
     cusp_basis_gamma02,
@@ -213,3 +218,198 @@ def test_theorem14_products_are_cuspidal():
     for j in (1, 2):
         product = eisenstein_gamma02(2 * j + 2, "zero", prec) * eisenstein_gamma02(w - 2 * j, "infinity", prec)
         assert product.coeff(0) == 0
+
+
+# --- integer numerators against the Fraction arithmetic they replaced -------
+
+
+def fraction_convolution(a, b, prec):
+    """Coefficients 0..prec of a*b by the Fraction loop QSeries.__mul__ used to run."""
+    out = [Fraction(0)] * (prec + 1)
+    for i in range(prec + 1):
+        x = a[i]
+        if not x:
+            continue
+        for j in range(prec + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def fraction_power(a, e, prec):
+    out = [Fraction(1)] + [Fraction(0)] * prec
+    for _ in range(e):
+        out = fraction_convolution(out, a, prec)
+    return out
+
+
+def fraction_eta(parts, prec):
+    """eta quotient from Fraction Euler factors, Fraction inverses and the Fraction loop."""
+    lead = sum(d * r for d, r in parts) // 24
+    inner = prec - lead
+    out = [Fraction(1)] + [Fraction(0)] * inner
+    for delta, r in parts:
+        factor = [Fraction(0)] * (inner + 1)
+        for g in range(-inner, inner + 1):
+            e = delta * g * (3 * g - 1) // 2
+            if 0 <= e <= inner:
+                factor[e] += -1 if g % 2 else 1
+        if r < 0:
+            inverse = [Fraction(1)]
+            for n in range(1, inner + 1):
+                inverse.append(-sum(factor[i] * inverse[n - i] for i in range(1, n + 1)))
+            factor = inverse
+        out = fraction_convolution(out, fraction_power(factor, abs(r), inner), inner)
+    return [Fraction(0)] * lead + out
+
+
+def fraction_eisenstein(k, prec):
+    c = Fraction(-2 * k) / bernoulli_number(k)
+    return [Fraction(1)] + [c * sigma(k - 1, n) for n in range(1, prec + 1)]
+
+
+def assert_reduced(f):
+    assert f.den > 0 and all(isinstance(x, int) for x in f.num)
+    assert gcd(f.den, *f.num) == 1
+
+
+def random_series(rng, weight, prec, den):
+    return QSeries(weight, [Fraction(rng.randint(-50, 50), rng.choice(den)) for _ in range(prec + 1)])
+
+
+def test_product_power_and_scalars_match_fraction_arithmetic():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        f = random_series(rng, 2, rng.randint(0, 15), (1, 2, 3, 7))
+        g = random_series(rng, 4, rng.randint(0, 15), (1, 5, 6))
+        prec = min(f.prec, g.prec)
+        product = f * g
+        assert (product.weight, product.prec) == (6, prec)
+        assert product.coeffs == fraction_convolution(f.coeffs, g.coeffs, prec)
+        assert_reduced(product)
+        for e in range(5):
+            power = f**e
+            assert (power.weight, power.prec) == (2 * e, f.prec)
+            assert power.coeffs == fraction_power(f.coeffs, e, f.prec)
+            assert_reduced(power)
+        for c in (Fraction(3, 14), Fraction(-7, 2), -6, 0, Fraction(1, 1)):
+            assert (c * f).coeffs == (f * c).coeffs == [c * x for x in f.coeffs]
+            assert_reduced(c * f)
+
+
+def test_sum_and_difference_with_mixed_denominators():
+    rng = random.Random(7)
+    for _ in range(20):
+        f = random_series(rng, 6, rng.randint(0, 12), (1, 4, 9))
+        g = random_series(rng, 6, rng.randint(0, 12), (2, 3, 35))
+        prec = min(f.prec, g.prec)
+        assert (f + g).coeffs == [x + y for x, y in zip(f.coeffs, g.coeffs)][: prec + 1]
+        assert (f - g).coeffs == [x - y for x, y in zip(f.coeffs, g.coeffs)][: prec + 1]
+        assert (f + g).prec == (f - g).prec == prec
+        assert_reduced(f + g)
+        assert_reduced(f - g)
+    half = QSeries(0, [Fraction(1, 2), Fraction(3, 2)])
+    whole = half + half
+    assert (whole.num, whole.den) == ([1, 3], 1)
+    assert (half - half).den == 1 and not any((half - half).num)
+    assert QSeries(0, [Fraction(2, 4), 1], prec=3).coeffs == [Fraction(1, 2), 1, 0, 0]
+
+
+def test_eta_quotient_matches_fraction_products():
+    for parts in ([(1, 24)], [(1, 8), (2, 8)], [(1, -24), (2, 48)], [(1, 16), (2, -8)], [(4, -2), (1, 16), (2, 8)]):
+        for prec in (4, 30):
+            f = eta_quotient(parts, prec)
+            assert f.den == 1
+            assert f.coeffs == fraction_eta(parts, prec), parts
+
+
+def test_eisenstein_gamma02_matches_fraction_formula():
+    prec = 40
+    for k in range(4, 22, 2):
+        ek = fraction_eisenstein(k, prec)
+        ek2 = [ek[n // 2] if n % 2 == 0 else 0 for n in range(prec + 1)]
+        einf = [(2**k * y - x) / (2**k - 1) for x, y in zip(ek, ek2)]
+        e0 = [2**k * (x - y) / (2**k - 1) for x, y in zip(ek, ek2)]
+        assert eisenstein_level1(k, prec).coeffs == ek
+        assert eisenstein_gamma02(k, "infinity", prec).coeffs == einf
+        assert eisenstein_gamma02(k, "zero", prec).coeffs == e0
+        assert_reduced(eisenstein_gamma02(k, "zero", prec))
+
+
+def test_hecke_on_qseries_prime_powers_match_divisor_formula():
+    # a_n(T_{p^r} f) = sum over d | gcd(n, p^r) of d^(k-1) a(p^r n / d^2), p odd; a_n(U_2^r f) = a(2^r n)
+    prec = 250
+    k = 12
+    forms = [eisenstein_gamma02(k, "zero", prec), eisenstein_gamma02(k, "infinity", prec)]
+    forms += cusp_basis_gamma02(k, prec)
+    for f in forms:
+        a = f.coeffs
+        for p, r in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)):
+            q = p**r
+            image = hecke_on_qseries(f, k, q)
+            assert image.prec == prec // q
+            if p == 2:
+                expected = [a[q * n] for n in range(prec // q + 1)]
+            else:
+                expected = [
+                    sum(
+                        (p**j) ** (k - 1) * a[q * n // p ** (2 * j)]
+                        for j in range(r + 1)
+                        if n % p**j == 0
+                    )
+                    for n in range(prec // q + 1)
+                ]
+            assert image.coeffs == expected, (p, r)
+
+
+def test_cusp_basis_matches_fraction_products():
+    # reference at the largest precision; a truncated product is the prefix of the longer one
+    top = 84
+    e2 = fraction_eisenstein(2, top)
+    m2 = [2 * e2[n // 2] * (n % 2 == 0) - e2[n] for n in range(top + 1)]
+    e4 = fraction_eisenstein(4, top)
+    d8_m2 = [fraction_eta([(1, 8), (2, 8)], top)]
+    for _ in range(16):
+        d8_m2.append(fraction_convolution(d8_m2[-1], m2, top))
+    e4_powers = [fraction_power(e4, 0, top)]
+    for _ in range(8):
+        e4_powers.append(fraction_convolution(e4_powers[-1], e4, top))
+    for k in range(8, 42, 2):
+        expected = []
+        for b in range((k - 8) // 4 + 1):
+            a = (k - 8 - 4 * b) // 2
+            expected.append(fraction_convolution(d8_m2[a], e4_powers[b], top) if b else d8_m2[a])
+        for prec in (12, 40, 84):
+            basis = cusp_basis_gamma02(k, prec)
+            assert len(basis) == len(expected)
+            for f, coeffs in zip(basis, expected):
+                assert (f.weight, f.prec, f.den) == (k, prec, 1)
+                assert f.coeffs == coeffs[: prec + 1], (k, prec)
+
+
+# SHA-256 of CLI stdout recorded before q-series moved to integer numerators
+CLI_STDOUT_SHA256 = {
+    ("qexp", "--form", "eta:1^8,2^8", "--prec", "60"): "41a9d0b41aceacad7032bf1512f3dea214e217ba81688dad0d33163ade85b649",
+    ("qexp", "--form", "eta:1^-24,2^48", "--prec", "60"): "c63c8f951df3a3cc4dd3523807761b00586d37b029ffc56e974dbf816c438c62",
+    ("qexp", "--form", "E:12", "--prec", "60"): "62283f048b2ece3aff71b3e0f7cf4330a0d29bb703d7346d7e11b03727b7ba97",
+    ("qexp", "--form", "Einf:10", "--prec", "60"): "9e330e87a20440629444e7c110953722fde9ce3089d5cf86a5d573346c55e642",
+    ("qexp", "--form", "E0:6", "--prec", "60"): "24699c781937a6f9d37df92b84e4506b394c6b94540e8fdef9f47a3a16b5f614",
+    ("qexp", "--form", "E0:6"): "e93fb995f60942dee75b4f95e573ef22d506f5e14dd85a36d892fd734d50d54c",
+    ("oracle-matrix", "--weight", "12", "--m", "2"): "218220c5b76d3ba223670428760f7d5474eb6a8ada92037e0e0457535735d656",
+    ("oracle-matrix", "--weight", "12", "--m", "5"): "d94af7378339737b8fa1daa27d51c285df1e19dc5d8b9742f8ef5ce8c9551147",
+    ("oracle-matrix", "--weight", "20", "--m", "2"): "90de58291d903044a801e5c92dd2cf778d843ef00343ce13a75986955c893510",
+    ("oracle-matrix", "--weight", "20", "--m", "5"): "003c29e2a60db8395197920999238d35239d282175944ac11733d64f2763609a",
+}
+
+
+def test_cli_stdout_is_byte_identical(capsys):
+    for argv, digest in CLI_STDOUT_SHA256.items():
+        assert main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
+def test_oracle_matches_pipeline_k26_to_40():
+    for k in range(26, 42, 2):
+        for m in (2, 3, 4, 5):
+            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m)), (k, m)
