@@ -13,7 +13,7 @@ from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
 from .exactlinalg import hankel_bernoulli
 from .exactnum import bernoulli_number
-from .heckeop import hecke_computation
+from .heckeop import dim_cusp, hecke_computation
 from .heckesum import enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
 from .qoracle import (
@@ -43,6 +43,8 @@ MAX_LIST_M = 1000
 MAX_SUM_M = 10**5
 # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 and oracle-matrix --weight 40 take ~10 s
 MAX_PREC = 2000
+# solve plus charpoly grow steeply in the dimension d: ~10 s at level 5, w = 80 (d = 39), m = 12
+MAX_DIM = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,6 +101,8 @@ def _cmd_hecke_sum(args):
 
 def _cmd_hecke_matrix(args):
     _check_level(args.level)
+    if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
+        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
     comp = hecke_computation(args.level, args.w, args.m)
     if args.format == "latex":
         print(matrix_latex(comp.t))
@@ -123,6 +127,8 @@ def _cmd_hecke_matrix(args):
 
 def _cmd_charpoly(args):
     _check_level(args.level)
+    if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
+        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
     comp = hecke_computation(args.level, args.w, args.m)
     _emit({"level": args.level, "w": args.w, "m": args.m, "charpoly": coeffs_json(comp.charpoly())})
 
@@ -184,6 +190,8 @@ def _cmd_oracle_matrix(args):
     prec = args.prec or default_precision(args.weight, args.m)
     if prec > MAX_PREC:
         raise ValueError("prec %d exceeds the cap %d" % (prec, MAX_PREC))
+    if (d := dim_cusp(2, args.weight - 2)) > MAX_DIM:
+        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
     t = hecke_matrix_oracle(args.weight, args.m, prec=prec)
     _emit(
         {
@@ -240,16 +248,16 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_hecke_sum)
 
-    p = sub.add_parser("hecke-matrix", help="T_m = S1^-1 S2 with intermediates")
+    p = sub.add_parser("hecke-matrix", help="T_m in the period basis, with S1 and S2")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p.set_defaults(func=_cmd_hecke_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of T_m")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_charpoly)
 
@@ -264,7 +272,7 @@ def build_parser():
     p.set_defaults(func=_cmd_qexp)
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True, help="even; dim S_weight(Gamma0(2)) must be <= %d" % MAX_DIM)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prec", type=int, default=0, help="0 means the Sturm-bound default; prec <= %d" % MAX_PREC)
     p.set_defaults(func=_cmd_oracle_matrix)

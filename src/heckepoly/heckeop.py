@@ -1,9 +1,9 @@
 """End-to-end Hecke matrix pipeline.
 
-Builds the Gram-style matrices S1 (pairings of the base period polynomials)
-and S2 (pairings against the corrected index-m polynomials) from integer
-coefficient vectors over one denominator per polynomial, and solves
-S1 T_m = S2 fraction-free.  Complete for level 2; levels 3..5 run in an
+Solves the column-action identity ``image[j] = sum_k T[k, j] * base[k]``
+for T_m exactly over the base period polynomials' coefficients; an image
+outside their span is an error, never projected.  S1 and S2 (Gram-style
+pairings) are output only.  Complete for level 2; levels 3..5 run in an
 experimental mode where a failed basis is surfaced, never patched.
 """
 
@@ -11,19 +11,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import BasisDeficientError, EmptySpaceError, LevelError, UnderdeterminedSystemError
+from .errors import (
+    BasisDeficientError,
+    EmptySpaceError,
+    InconsistentSystemError,
+    LevelError,
+    UnderdeterminedSystemError,
+)
 from .exactlinalg import ExactMatrix, charpoly, clear_denominators, solve_right
 from .heckesum import r_minus_hecke
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
 
-# dim S_k(Gamma0(N)) for N in {3, 4, 5}, even weight k; values from the
-# standard genus-0 dimension count for these index <= 6 groups, spot-checked
-# against the worked examples in scope (e.g. dim S_10(Gamma0(4)) = 3).
-_DIM_TABLE = {
-    3: {k: k // 3 - 1 for k in range(4, 63, 2)},
-    4: {k: k // 2 - 2 for k in range(4, 63, 2)},
-    5: {k: 2 * (k // 4) - 1 for k in range(4, 63, 2)},
-}
+# (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
+# dim S_k = 1 - k + nu2 [k/4] + nu3 [k/3] + cusps (k/2 - 1) (Diamond-Shurman, Thm 3.5.1)
+_ELLIPTIC_CUSPS = {2: (1, 0, 2), 3: (0, 1, 2), 4: (0, 0, 3), 5: (2, 0, 2)}
 
 _BASIS_VARIANTS = ("even_low", "even_high", "odd_low", "odd_high")
 
@@ -32,15 +33,11 @@ def dim_cusp(level, w):
     """Dimension of the weight-(w+2) cusp space on Gamma0(level), level in {2..5}."""
     if w < 2 or w % 2:
         raise ValueError("w must be an even integer >= 2")
-    if level == 2:
-        return (w - 2) // 4
-    if level in _DIM_TABLE:
-        table = _DIM_TABLE[level]
-        k = w + 2
-        if k not in table:
-            raise LevelError("weight %d outside the stored dimension table for level %d" % (k, level))
-        return table[k]
-    raise LevelError("level %d unsupported (need 2..5)" % level)
+    if level not in _ELLIPTIC_CUSPS:
+        raise LevelError("level %d unsupported (need 2..5)" % level)
+    nu2, nu3, cusps = _ELLIPTIC_CUSPS[level]
+    k = w + 2
+    return 1 - k + nu2 * (k // 4) + nu3 * (k // 3) + cusps * (k // 2 - 1)
 
 
 def basis_matrix(w, which):
@@ -97,16 +94,16 @@ def _gram(rows, cols):
 
 
 def hecke_computation(level, w, m):
-    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 retained.
+    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 for output.
 
     The matrix represents T_m with respect to the normalized even-index
     period basis ``base[k] = s_poly(PeriodContext(level, w, 2k + 2))`` and
     acts on columns: the corrected index-m image of ``base[j]`` equals
-    ``sum_k T[k, j] * base[k]``.  It is ``S1^-1 S2`` with
-    ``S2[i, j] = <base[i], image[j]>`` for the coefficient dot product; the
-    transpose pairing ``S1^-1 S2^t = S1^-1 T^t S1`` gives the adjoint of T_m
-    for that product, a similar but different matrix.  Entries are exact
-    rationals.
+    ``sum_k T[k, j] * base[k]``; T solves that identity exactly, and a
+    dependent base or an image outside its span raises BasisDeficientError.
+    S1, S2 (``S2[i, j] = <base[i], image[j]>``, coefficient dot product) are
+    output only; ``S1^-1 S2^t = S1^-1 T^t S1`` is the adjoint of T_m for that
+    product, a similar but different matrix.  Entries are exact rationals.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -118,17 +115,23 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "dimension %d exceeds the %d even period indices available at w = %d" % (d, (w - 2) // 2, w)
         )
-    base = [clear_denominators(s_poly(PeriodContext(level, w, n)).coeffs) for n in indices]
-    images = [clear_denominators(r_minus_hecke(PeriodContext(level, w, n), m).coeffs) for n in indices]
-    s1 = _gram(base, base)
-    s2 = _gram(base, images)
+    base = [s_poly(PeriodContext(level, w, n)).coeffs for n in indices]
+    images = [r_minus_hecke(PeriodContext(level, w, n), m).coeffs for n in indices]
     try:
-        t = solve_right(s1, s2)
+        # column k of B (of C) is the coefficient vector of base[k] (of image[k])
+        t = solve_right(ExactMatrix(list(zip(*base))), ExactMatrix(list(zip(*images))))
     except UnderdeterminedSystemError as exc:
         raise BasisDeficientError(
             "period polynomials of indices %s are dependent (rank %s); no basis at level %d, w = %d"
             % (indices, exc.rank, level, w)
         ) from exc
+    except InconsistentSystemError as exc:
+        raise BasisDeficientError(
+            "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
+        ) from exc
+    base = [clear_denominators(c) for c in base]
+    s1 = _gram(base, base)
+    s2 = _gram(base, [clear_denominators(c) for c in images])
     return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
 
 

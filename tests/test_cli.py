@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from heckepoly.cli import MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
+from heckepoly.cli import MAX_DIM, MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +126,35 @@ def test_q_series_precision_cap(capsys):
     assert len(json.loads(out)["coeffs"]) == MAX_PREC + 1
 
 
+def test_dimension_cap(capsys):
+    # d = 41 in each: level 5 at w = 82, level 2 at w = 166 and weight 168
+    for argv in (
+        ("hecke-matrix", "--level", "5", "--w", "82", "--m", "2"),
+        ("charpoly", "--level", "2", "--w", "166", "--m", "3"),
+        ("oracle-matrix", "--weight", "168", "--m", "2"),
+    ):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1, argv
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PreconditionViolated"
+        assert "dimension 41 exceeds the cap %d" % MAX_DIM in error["message"]
+    for command in ("hecke-matrix", "charpoly", "oracle-matrix"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "<= %d" % MAX_DIM in capsys.readouterr().out
+
+
+def test_charpoly_beyond_weight_62(capsys):
+    status, out, _ = run_cli(capsys, "hecke-matrix", "--level", "3", "--w", "70", "--m", "2")
+    assert status == 0
+    payload = json.loads(out)
+    assert len(payload["T"]) == 23
+    coeffs = payload["charpoly"]
+    assert len(coeffs) == 24 and coeffs[-1] == "1"
+    assert all("/" not in c for c in coeffs)
+
+
 def test_oracle_matrix_negative_prec(capsys):
     status, out, err = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "2", "--prec", "-4")
     assert status == 1
@@ -192,17 +225,24 @@ def test_unknown_flag_rejected(capsys):
     assert info.value.code == 1
 
 
+def _child_env():
+    # the child imports heckepoly from this checkout, as the test process does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 def test_json_output_determinism():
     cmd = [sys.executable, "-m", "heckepoly", "hecke-matrix", "--level", "2", "--w", "14", "--m", "3"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=_child_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=_child_env())
     assert first.stdout == second.stdout
     assert first.stdout.strip()
 
 
 def test_console_entrypoint_runs():
     result = subprocess.run(
-        [sys.executable, "-m", "heckepoly", "bernoulli", "--n", "0"], capture_output=True, text=True
+        [sys.executable, "-m", "heckepoly", "bernoulli", "--n", "0"], capture_output=True, text=True, env=_child_env()
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1"

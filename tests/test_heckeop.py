@@ -27,6 +27,7 @@ def test_dim_cusp_values():
     assert dim_cusp(4, 8) == 3
     assert dim_cusp(3, 4) == 1
     assert dim_cusp(5, 6) == 3
+    assert dim_cusp(3, 70) == 23
     with pytest.raises(LevelError):
         dim_cusp(7, 10)
     with pytest.raises(ValueError):
@@ -192,4 +193,18 @@ def test_dependent_basis_names_rank(monkeypatch):
 
     monkeypatch.setattr(heckeop, "s_poly", repeated)
     with pytest.raises(BasisDeficientError, match=r"dependent \(rank 1\)"):
+        hecke_computation(2, 14, 2)
+
+
+def test_image_outside_span_is_basis_deficient(monkeypatch):
+    # every base polynomial has X^2 coefficient 0, so adding X^2 to one image
+    # takes that image out of their span
+    real_r_minus_hecke = heckeop.r_minus_hecke
+
+    def off_span(ctx, m):
+        image = real_r_minus_hecke(ctx, m)
+        return image + BoundedPolynomial.monomial(2, bound=ctx.w) if ctx.n == 4 else image
+
+    monkeypatch.setattr(heckeop, "r_minus_hecke", off_span)
+    with pytest.raises(BasisDeficientError, match=r"T_2 image leaves the span .* level 2, w = 14"):
         hecke_computation(2, 14, 2)
