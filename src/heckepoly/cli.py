@@ -45,6 +45,10 @@ MAX_SUM_M = 10**5
 MAX_PREC = 2000
 # solve plus charpoly grow steeply in the dimension d: ~10 s at level 5, w = 80 (d = 39), m = 12
 MAX_DIM = 40
+# m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 10 to 26 s
+MAX_HECKE_M = 256
+# B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
+MAX_BERNOULLI = 1100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,12 +68,19 @@ def _check_level(level):
         raise ValueError("level must be between 2 and %d" % MAX_LEVEL)
 
 
+def _check_bernoulli_index(k):
+    if k > MAX_BERNOULLI:
+        raise ValueError("Bernoulli index %d exceeds the cap %d" % (k, MAX_BERNOULLI))
+
+
 def _cmd_bernoulli(args):
+    _check_bernoulli_index(args.n)
     print(fraction_str(bernoulli_number(args.n)))
 
 
 def _cmd_period_poly(args):
     _check_level(args.level)
+    _check_bernoulli_index(args.w + 1)
     ctx = PeriodContext(args.level, args.w, args.n)
     poly = s_poly(ctx) if args.sign == "minus" else r_plus_odd(ctx)
     if args.format == "json":
@@ -91,6 +102,7 @@ def _cmd_hecke_sum(args):
         return
     if args.m > MAX_SUM_M:
         raise ValueError("hecke-sum needs m <= %d, got m=%d" % (MAX_SUM_M, args.m))
+    _check_bernoulli_index(args.w + 1)
     ctx = PeriodContext(args.level, args.w, args.n)
     corrected = not args.raw
     poly = r_minus_hecke(ctx, args.m) if corrected else s_poly_m(ctx, args.m)
@@ -99,11 +111,17 @@ def _cmd_hecke_sum(args):
     _emit(payload)
 
 
-def _cmd_hecke_matrix(args):
+def _hecke_computation(args):
     _check_level(args.level)
     if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
         raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
-    comp = hecke_computation(args.level, args.w, args.m)
+    if args.m > MAX_HECKE_M:
+        raise ValueError("index m = %d exceeds the cap %d" % (args.m, MAX_HECKE_M))
+    return hecke_computation(args.level, args.w, args.m)
+
+
+def _cmd_hecke_matrix(args):
+    comp = _hecke_computation(args)
     if args.format == "latex":
         print(matrix_latex(comp.t))
         print(charpoly_latex(comp.charpoly()))
@@ -126,10 +144,7 @@ def _cmd_hecke_matrix(args):
 
 
 def _cmd_charpoly(args):
-    _check_level(args.level)
-    if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
-        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
-    comp = hecke_computation(args.level, args.w, args.m)
+    comp = _hecke_computation(args)
     _emit({"level": args.level, "w": args.w, "m": args.m, "charpoly": coeffs_json(comp.charpoly())})
 
 
@@ -218,16 +233,17 @@ def _cmd_verify(args):
 
 
 def build_parser():
+    w_help = "even; w + 1 <= %d (the largest Bernoulli index used)" % MAX_BERNOULLI
     parser = _Parser(prog="heckepoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="print B_n as p/q")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="n <= %d" % MAX_BERNOULLI)
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("period-poly", help="closed-form period polynomial")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
@@ -235,7 +251,7 @@ def build_parser():
 
     p = sub.add_parser("hecke-sum", help="index-m period polynomial sum")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_SUM_M)
     group = p.add_mutually_exclusive_group()
@@ -251,14 +267,14 @@ def build_parser():
     p = sub.add_parser("hecke-matrix", help="T_m in the period basis, with S1 and S2")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_HECKE_M)
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p.set_defaults(func=_cmd_hecke_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of T_m")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_HECKE_M)
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("hankel", help="Bernoulli Hankel determinant vs closed form")

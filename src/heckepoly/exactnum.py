@@ -1,13 +1,16 @@
 """Exact number-theoretic primitives.
 
-Bernoulli numbers (convention B_1 = -1/2) and the even-index-only Bernoulli
-polynomials B^0_k, divisor power sums, the Moebius function, and one
-trial-division factorization behind the prime-divisor helpers.  Everything
-is exact; nothing here ever rounds.
+Bernoulli numbers (convention B_1 = -1/2), weighted integer power sums and,
+built on them, scaled sums of the even-index-only Bernoulli polynomials
+B^0_k, divisor power sums, the Moebius function, and one trial-division
+factorization behind the prime-divisor helpers.  Everything is exact;
+nothing here ever rounds.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, isqrt
+from operator import mul
 
 from .polyring import BoundedPolynomial
 
@@ -48,17 +51,27 @@ def bernoulli_or_zero(k):
     return bernoulli_number(k)
 
 
-def bernoulli_poly0(k):
-    """The k-th Bernoulli polynomial without its B_1 term.
+def power_sums(terms, top):
+    """[sum of c*a^e over the integer pairs (c, a) in terms, for e = 0..top]."""
+    rows = [accumulate(repeat(a, top), mul, initial=c) for c, a in terms]
+    return list(map(sum, zip(*rows))) if rows else [0] * (top + 1)
 
-    B^0_k(x) = sum over even i, 0 <= i <= k, of C(k,i) B_i x^(k-i).
-    Degree is exactly k, and the result does not depend on the B_1 convention.
+
+def bernoulli_poly0(k, terms=((1, 1),)):
+    """Sum of c*B^0_k(aX) over the integer pairs (c, a) in terms; B^0_k itself by default.
+
+    B^0_k(x) = sum over even i, 0 <= i <= k, of C(k,i) B_i x^(k-i) is the k-th
+    Bernoulli polynomial without its B_1 term, so the X^(k-i) coefficient of
+    the sum is C(k,i) B_i times the integer power sum of c*a^(k-i).  The bound
+    is k, B^0_k itself has degree exactly k, and nothing depends on the B_1
+    convention.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
+    sums = power_sums(terms, k)
     coeffs = [Fraction(0)] * (k + 1)
     for i in range(0, k + 1, 2):
-        coeffs[k - i] = comb(k, i) * bernoulli_number(i)
+        coeffs[k - i] = comb(k, i) * bernoulli_number(i) * sums[k - i]
     return BoundedPolynomial(coeffs, bound=k)
 
 

@@ -21,14 +21,12 @@ the integer sum of the per-matrix coefficients.
 """
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, sigma
-from .polyring import BoundedPolynomial, reciprocal_scale, scale_argument
+from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
+from .polyring import BoundedPolynomial, reciprocal_scale
 
 
 class IntMat2(NamedTuple):
@@ -80,12 +78,6 @@ def _pencil(n, nt, s, t):
     return coeffs
 
 
-def _power_sums(bases, top):
-    """[sum of x^e over x in bases for e = 0..top]."""
-    rows = [accumulate(repeat(x, top), mul, initial=1) for x in bases]
-    return list(map(sum, zip(*rows)))
-
-
 def sign_restricted_sum(ctx, m):
     """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt, in closed form.
 
@@ -109,10 +101,10 @@ def sign_restricted_sum(ctx, m):
             continue
         avals = [a for a in divisors(s) if gcd(a, level) == 1]
         cvals = [c for c in divisors(t) if c % level == 0]
-        a_sums = _power_sums(avals, n)
-        d_sums = _power_sums([s // a for a in avals], nt)
-        b_sums = _power_sums([t // c for c in cvals], n)
-        c_sums = _power_sums(cvals, nt)
+        a_sums = power_sums([(1, a) for a in avals], n)
+        d_sums = power_sums([(1, s // a) for a in avals], nt)
+        b_sums = power_sums([(1, t // c) for c in cvals], n)
+        c_sums = power_sums([(1, c) for c in cvals], nt)
         pencil = _pencil(n, nt, s, t)
         for k in range((n + 1) % 2, w + 1, 2):
             if k >= nt:
@@ -128,18 +120,16 @@ def sign_restricted_sum(ctx, m):
 
 
 def diagonal_sum(ctx, m):
-    """sum over ad = m, a > 0, gcd(a, level) = 1 of the two reciprocal/Bernoulli terms."""
+    """Sum over ad = m, a > 0, gcd(a, level) = 1 of the two reciprocal/Bernoulli terms.
+
+    Each pair contributes a^n N^nt/(nt+1) X^w B^0_{nt+1}(d/(NX)) - d^nt/(n+1) B^0_{n+1}(aX)
+    (N the level), so the whole sum is two scaled Bernoulli sums; at m = 1 it is s_poly.
+    """
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
-    bern_nt, bern_n = bernoulli_poly0(nt + 1), bernoulli_poly0(n + 1)
-    total = BoundedPolynomial.zero(w)
-    for a in divisors(m):
-        if gcd(a, level) != 1:
-            continue
-        d = m // a
-        scaled = reciprocal_scale(scale_argument(bern_nt, d), level, w)
-        total = total + Fraction(a**n * level**nt, nt + 1) * scaled
-        total = total - Fraction(d**nt, n + 1) * scale_argument(bern_n, a).with_bound(w)
-    return total
+    pairs = [(a, m // a) for a in divisors(m) if gcd(a, level) == 1]
+    first = reciprocal_scale(bernoulli_poly0(nt + 1, [(a**n, d) for a, d in pairs]), level, w)
+    second = bernoulli_poly0(n + 1, [(d**nt, a) for a, d in pairs]).with_bound(w)
+    return Fraction(level**nt, nt + 1) * first - Fraction(1, n + 1) * second
 
 
 def s_poly_m(ctx, m):
@@ -159,17 +149,13 @@ def moebius_correction(ctx, m):
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
     if m % level:
         raise ValueError("correction only applies when level | m")
-    bern_n = bernoulli_poly0(n + 1)
-    acc = BoundedPolynomial.zero(w)
-    for d in divisors(level):
-        mu = moebius(level // d)
-        if mu == 0:
-            continue
-        for c in divisors(m // level):
-            scale = m * d // (c * level)
-            poly = reciprocal_scale(scale_argument(bern_n, scale), level, w)
-            acc = acc + Fraction(mu * c**nt * level**w, d**n * (n + 1)) * poly
-    return -acc
+    # X^w B^0_{n+1}(me/(cNX)), e | N, c | m/N, has weight mu(N/e) c^nt N^w/e^n = mu(N/e) c^nt N^nt (N/e)^n
+    terms = [
+        (moebius(level // e) * c**nt * (level // e) ** n, m * e // (c * level))
+        for e in divisors(level)
+        for c in divisors(m // level)
+    ]
+    return -Fraction(level**nt, n + 1) * reciprocal_scale(bernoulli_poly0(n + 1, terms), level, w)
 
 
 def r_minus_hecke(ctx, m):

@@ -162,11 +162,6 @@ def reciprocal_scale(poly, level, w):
     return BoundedPolynomial(coeffs, bound=w)
 
 
-def scale_argument(poly, a):
-    """Return P(a*X): the coefficient of X^k is scaled by a^k; the bound is preserved."""
-    return BoundedPolynomial([c * a**k for k, c in enumerate(poly.coeffs)], bound=poly.bound)
-
-
 def compose_linear(poly, a, b):
     """Return P(a*X + b) by exact binomial expansion; the bound is preserved."""
     a = _as_fraction(a)

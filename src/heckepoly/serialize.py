@@ -23,18 +23,14 @@ def poly_json(poly):
     return {"bound": poly.bound, "coeffs": [fraction_str(c) for c in poly.coeffs]}
 
 
-def _poly_terms(poly):
-    terms = []
-    for k in range(poly.bound, -1, -1):
-        c = poly.coeff(k)
-        if c:
-            terms.append((k, c))
-    return terms
+def _terms(coeffs):
+    """Nonzero (power, coefficient) pairs of ascending coefficients, descending by power."""
+    return [(k, c) for k, c in reversed(list(enumerate(coeffs))) if c]
 
 
 def poly_text(poly):
     """Human-readable rendering, descending powers."""
-    terms = _poly_terms(poly)
+    terms = _terms(poly.coeffs)
     if not terms:
         return "0"
     parts = []
@@ -50,21 +46,23 @@ def poly_text(poly):
     return " ".join(parts)
 
 
-def poly_latex(poly):
-    terms = _poly_terms(poly)
-    if not terms:
-        return "0"
+def _latex(coeffs, var):
+    """LaTeX for ascending coefficients, descending powers of var."""
     parts = []
-    for idx, (k, c) in enumerate(terms):
-        sign = "-" if c < 0 else ("+" if idx else "")
+    for k, c in _terms(coeffs):
+        sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
         if k == 0:
             body = fraction_latex(mag)
         else:
-            var = "X" if k == 1 else "X^{%d}" % k
-            body = var if mag == 1 else fraction_latex(mag) + var
+            power = var if k == 1 else "%s^{%d}" % (var, k)
+            body = power if mag == 1 else fraction_latex(mag) + power
         parts.append(sign + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def poly_latex(poly):
+    return _latex(poly.coeffs, "X")
 
 
 def matrix_json(mat):
@@ -91,18 +89,4 @@ def coeffs_json(coeffs):
 
 def charpoly_latex(coeffs):
     """Monic polynomial in x from ascending coefficients."""
-    n = len(coeffs) - 1
-    parts = []
-    for k in range(n, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if k == 0:
-            body = fraction_latex(mag)
-        else:
-            var = "x" if k == 1 else "x^{%d}" % k
-            body = var if mag == 1 else fraction_latex(mag) + var
-        parts.append(sign + body)
-    return "".join(parts) if parts else "0"
+    return _latex(coeffs, "x")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heckepoly.cli import MAX_DIM, MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
+from heckepoly.cli import MAX_BERNOULLI, MAX_DIM, MAX_HECKE_M, MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,6 +143,40 @@ def test_dimension_cap(capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "<= %d" % MAX_DIM in capsys.readouterr().out
+
+
+def test_hecke_index_cap(capsys):
+    for command in ("hecke-matrix", "charpoly"):
+        status, out, err = run_cli(capsys, command, "--level", "2", "--w", "10", "--m", str(MAX_HECKE_M + 1))
+        assert status == 1, command
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PreconditionViolated"
+        assert error["message"] == "index m = %d exceeds the cap %d" % (MAX_HECKE_M + 1, MAX_HECKE_M)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "m <= %d" % MAX_HECKE_M in capsys.readouterr().out
+    status, out, _ = run_cli(capsys, "charpoly", "--level", "2", "--w", "10", "--m", str(MAX_HECKE_M))
+    assert status == 0
+    assert json.loads(out)["m"] == MAX_HECKE_M
+
+
+def test_bernoulli_index_cap(capsys):
+    # MAX_BERNOULLI is even, so w = MAX_BERNOULLI is a valid weight whose B_(w+1) is one past the cap
+    for argv in (
+        ("bernoulli", "--n", str(MAX_BERNOULLI + 1)),
+        ("period-poly", "--level", "2", "--w", str(MAX_BERNOULLI), "--n", "2", "--sign", "minus"),
+        ("hecke-sum", "--level", "2", "--w", str(MAX_BERNOULLI), "--n", "2", "--m", "2"),
+    ):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1, argv
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PreconditionViolated"
+        assert error["message"] == "Bernoulli index %d exceeds the cap %d" % (MAX_BERNOULLI + 1, MAX_BERNOULLI)
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "<= %d" % MAX_BERNOULLI in capsys.readouterr().out
 
 
 def test_charpoly_beyond_weight_62(capsys):

@@ -15,7 +15,7 @@ from heckepoly.exactnum import (
     prime_divisors,
     sigma,
 )
-from heckepoly.polyring import BoundedPolynomial
+from heckepoly.polyring import BoundedPolynomial, compose_linear
 
 
 def test_bernoulli_values():
@@ -63,6 +63,19 @@ def test_bernoulli_poly0_structure():
         # only exponents k - i with even i carry coefficients
         for i in range(1, k + 1, 2):
             assert p.coeff(k - i) == 0
+
+
+def test_bernoulli_poly0_terms_are_scaled_sums():
+    # sum of c*B^0_k(aX), by binomial expansion: c = 0 is a vanishing Moebius weight
+    for terms in ([(3, 2)], [(1, 1), (-2, 5)], [(0, 7), (4, -3), (-1, 12)], [(5, 1), (-5, 1)]):
+        for k in (0, 1, 2, 7, 12):
+            want = BoundedPolynomial.zero(k)
+            for c, a in terms:
+                want = want + c * compose_linear(bernoulli_poly0(k), a, 0)
+            got = bernoulli_poly0(k, terms)
+            assert got == want
+            assert got.bound == k
+    assert bernoulli_poly0(6, []) == BoundedPolynomial.zero(6)
 
 
 def test_sigma_examples():

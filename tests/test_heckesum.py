@@ -17,7 +17,7 @@ from heckepoly.heckesum import (
     sign_restricted_sum,
 )
 from heckepoly.periodpoly import PeriodContext, s_poly
-from heckepoly.polyring import BoundedPolynomial, compose_linear, reciprocal_scale, scale_argument
+from heckepoly.polyring import BoundedPolynomial, compose_linear, reciprocal_scale
 from heckepoly.qoracle import eta_quotient
 
 
@@ -146,17 +146,6 @@ def test_eigenvalue_matches_eta_expansion():
         assert eigenvalue_w6(m) == f.coeff(m)
 
 
-def test_scale_argument_is_compose_linear_without_shift():
-    polys = [bernoulli_poly0(k) for k in (1, 2, 5, 9)]
-    polys += [BoundedPolynomial([Fraction(3, 7), 0, -2], bound=6), BoundedPolynomial.zero(4)]
-    for poly in polys:
-        for a in (1, 2, -3, 12, Fraction(-2, 5)):
-            got = scale_argument(poly, a)
-            want = compose_linear(poly, a, 0)
-            assert got == want
-            assert got.bound == want.bound == poly.bound
-
-
 def _diagonal_sum_by_composition(ctx, m):
     # the binomial-expansion form of diagonal_sum, kept as a reference
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
@@ -186,13 +175,22 @@ def _moebius_correction_by_composition(ctx, m):
 
 
 def test_scaled_sums_match_binomial_expansion():
-    for level in (2, 3, 4, 5):
-        for w, n in ((6, 2), (10, 4), (14, 6)):
+    # odd n reaches diagonal_sum through hecke-sum --raw
+    for level in (2, 3, 4, 5, 6, 7):
+        for w, n in ((6, 2), (10, 4), (14, 6), (8, 3), (12, 7)):
             ctx = PeriodContext(level, w, n)
-            for m in (1, 2, 6, 12, 20):
+            for m in (1, 2, 6, 12, 30, 210, 240, 256):
                 assert diagonal_sum(ctx, m) == _diagonal_sum_by_composition(ctx, m)
                 if m % level == 0:
                     assert moebius_correction(ctx, m) == _moebius_correction_by_composition(ctx, m)
+
+
+def test_diagonal_sum_at_index_one_is_s_poly():
+    for level in (2, 3, 4, 5, 6):
+        for w in (2, 8, 14):
+            for n in range(1, w):
+                ctx = PeriodContext(level, w, n)
+                assert diagonal_sum(ctx, 1) == s_poly(ctx)
 
 
 def _sign_restricted_sum_by_matrices(ctx, m):

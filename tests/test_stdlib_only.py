@@ -1,0 +1,31 @@
+"""The runtime uses the standard library only: every import in the package is stdlib or relative."""
+
+import ast
+import sys
+from pathlib import Path
+
+import heckepoly
+
+PACKAGE_DIR = Path(heckepoly.__file__).parent
+
+
+def _imports(path):
+    """(line, absolute top-level module or None for a relative import) for each import in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, None if node.level else node.module.partition(".")[0]
+
+
+def test_package_imports_only_stdlib_or_relative():
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) > 10
+    offenders = [
+        "%s:%d %s" % (path.name, line, module)
+        for path in sources
+        for line, module in _imports(path)
+        if module is not None and module not in sys.stdlib_module_names
+    ]
+    assert offenders == []
