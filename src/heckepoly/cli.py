@@ -8,6 +8,7 @@ stdout (JSON by default), structured errors to stderr, exit status 0/1.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
@@ -47,6 +48,12 @@ MAX_PREC = 2000
 MAX_DIM = 40
 # m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 10 to 26 s
 MAX_HECKE_M = 256
+# qexp eta: makes one convolution per unit of sum |r| and one inversion: eta:1^-299,299^1 takes ~10 s at prec 2000
+MAX_ETA_EXPONENTS = 300
+# oracle-matrix grows like d prec^2, steepest at d = MAX_DIM: ~9 s at weight 164 (d = 40), m = 2, prec 295
+MAX_ORACLE_WORK = 3_500_000
+# hecke-sum grows like m (w + 1) on top of B_(w+1): ~10 s at level 5, w = 1098, m = 27, ~9 s of it B_1099
+MAX_SUM_WORK = 30_000
 # B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
 MAX_BERNOULLI = 1100
 
@@ -61,6 +68,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload):
     print(json.dumps(payload))
+
+
+@contextmanager
+def _int_str_digits(limit):
+    """Run the block under Python's int/str conversion digit limit (0 lifts it), then restore the old one."""
+    # Pythons without sys.set_int_max_str_digits have no limit to set
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    setter(limit)
+    try:
+        yield
+    finally:
+        setter(old)
 
 
 def _check_level(level):
@@ -103,6 +123,8 @@ def _cmd_hecke_sum(args):
     if args.m > MAX_SUM_M:
         raise ValueError("hecke-sum needs m <= %d, got m=%d" % (MAX_SUM_M, args.m))
     _check_bernoulli_index(args.w + 1)
+    if args.m * (args.w + 1) > MAX_SUM_WORK:
+        raise ValueError("m (w + 1) = %d * %d exceeds the cap %d" % (args.m, args.w + 1, MAX_SUM_WORK))
     ctx = PeriodContext(args.level, args.w, args.n)
     corrected = not args.raw
     poly = r_minus_hecke(ctx, args.m) if corrected else s_poly_m(ctx, args.m)
@@ -169,29 +191,32 @@ def _parse_eta_parts(spec):
             raise ValueError("eta part %r must look like delta^exponent" % token)
         delta, _, expo = token.partition("^")
         parts.append((int(delta), int(expo)))
+    if (total := sum(abs(r) for _, r in parts)) > MAX_ETA_EXPONENTS:
+        raise ValueError("eta exponents sum to |r| = %d, over the cap %d" % (total, MAX_ETA_EXPONENTS))
     return parts
 
 
 def _cmd_qexp(args):
-    form = args.form
     if not 0 <= args.prec <= MAX_PREC:
         raise ValueError("prec must be between 0 and %d, got %d" % (MAX_PREC, args.prec))
-    kind, _, rest = form.partition(":")
+    kind, _, rest = args.form.partition(":")
     if not rest:
         raise ValueError("form must look like 'eta:1^8,2^8', 'E:k', 'Einf:k' or 'E0:k'")
-    if kind == "eta":
-        series = eta_quotient(_parse_eta_parts(rest), args.prec)
-    elif kind == "E":
-        series = eisenstein_level1(int(rest), args.prec)
-    elif kind == "Einf":
-        series = eisenstein_gamma02(int(rest), "infinity", args.prec)
-    elif kind == "E0":
-        series = eisenstein_gamma02(int(rest), "zero", args.prec)
-    else:
-        raise ValueError("unknown form kind %r (want eta, E, Einf, E0)" % kind)
+    # main lifts the digit limit for the output; the form is parsed under Python's default one
+    with _int_str_digits(getattr(sys.int_info, "default_max_str_digits", 0)):
+        if kind == "eta":
+            series = eta_quotient(_parse_eta_parts(rest), args.prec)
+        elif kind == "E":
+            series = eisenstein_level1(int(rest), args.prec)
+        elif kind == "Einf":
+            series = eisenstein_gamma02(int(rest), "infinity", args.prec)
+        elif kind == "E0":
+            series = eisenstein_gamma02(int(rest), "zero", args.prec)
+        else:
+            raise ValueError("unknown form kind %r (want eta, E, Einf, E0)" % kind)
     _emit(
         {
-            "form": form,
+            "form": args.form,
             "weight": series.weight,
             "prec": series.prec,
             "coeffs": [fraction_str(c) for c in series.coeffs],
@@ -207,6 +232,8 @@ def _cmd_oracle_matrix(args):
         raise ValueError("prec %d exceeds the cap %d" % (prec, MAX_PREC))
     if (d := dim_cusp(2, args.weight - 2)) > MAX_DIM:
         raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
+    if d * prec**2 > MAX_ORACLE_WORK:
+        raise ValueError("d prec^2 = %d * %d^2 exceeds the cap %d" % (d, prec, MAX_ORACLE_WORK))
     t = hecke_matrix_oracle(args.weight, args.m, prec=prec)
     _emit(
         {
@@ -253,7 +280,7 @@ def build_parser():
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_SUM_M)
+    p.add_argument("--m", type=int, required=True, help="m <= %d and m (w + 1) <= %d" % (MAX_SUM_M, MAX_SUM_WORK))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     group.add_argument("--corrected", action="store_true", help="apply the correction (default)")
@@ -283,14 +310,14 @@ def build_parser():
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("qexp", help="q-expansion of eta quotients / Eisenstein series")
-    p.add_argument("--form", required=True, help="'eta:1^8,2^8', 'E:k', 'Einf:k', or 'E0:k'")
+    p.add_argument("--form", required=True, help="'eta:1^8,2^8' (sum |r| <= %d), 'E:k', 'Einf:k' or 'E0:k'" % MAX_ETA_EXPONENTS)
     p.add_argument("--prec", type=int, default=20, help="0 <= prec <= %d" % MAX_PREC)
     p.set_defaults(func=_cmd_qexp)
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
     p.add_argument("--weight", type=int, required=True, help="even; dim S_weight(Gamma0(2)) must be <= %d" % MAX_DIM)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, default=0, help="0 means the Sturm-bound default; prec <= %d" % MAX_PREC)
+    p.add_argument("--prec", type=int, default=0, help="0: the Sturm-bound default; prec <= %d, d prec^2 <= %d" % (MAX_PREC, MAX_ORACLE_WORK))
     p.set_defaults(func=_cmd_oracle_matrix)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -305,7 +332,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        # exact results may run past the int/str digit limit; arguments were parsed under it
+        with _int_str_digits(0):
+            status = args.func(args)
     except HeckePolyError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
         return 1

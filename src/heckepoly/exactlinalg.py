@@ -8,7 +8,7 @@ division-free Berkowitz recursion.  Results are exact rationals.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import (
@@ -17,7 +17,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactnum import bernoulli_number
-from .polyring import _as_fraction
+from .polyring import _as_fraction, clear_denominators
 
 
 class ExactMatrix:
@@ -110,12 +110,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(%r)" % [[str(x) for x in row] for row in self.entries]
-
-
-def clear_denominators(values):
-    """Integers v and a positive D with values[k] == v[k] / D, D the lcm of the denominators."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _bareiss(work, pivot_cols):

@@ -8,8 +8,6 @@ experimental mode where a failed basis is surfaced, never patched.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 
 from .errors import (
     BasisDeficientError,
@@ -18,9 +16,10 @@ from .errors import (
     LevelError,
     UnderdeterminedSystemError,
 )
-from .exactlinalg import ExactMatrix, charpoly, clear_denominators, solve_right
+from .exactlinalg import ExactMatrix, charpoly, solve_right
 from .heckesum import r_minus_hecke
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
+from .polyring import coeff_inner_product
 
 # (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
 # dim S_k = 1 - k + nu2 [k/4] + nu3 [k/3] + cusps (k/2 - 1) (Diamond-Shurman, Thm 3.5.1)
@@ -88,11 +87,6 @@ class HeckeComputation:
         return charpoly(self.t)
 
 
-def _gram(rows, cols):
-    """Coefficient dot products of cleared polynomials (v, D), paired in integers."""
-    return ExactMatrix([[Fraction(sum(map(mul, u, v)), du * dv) for v, dv in cols] for u, du in rows])
-
-
 def hecke_computation(level, w, m):
     """Compute T_m on the weight-(w+2) cusp space, with S1, S2 for output.
 
@@ -115,11 +109,12 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "dimension %d exceeds the %d even period indices available at w = %d" % (d, (w - 2) // 2, w)
         )
-    base = [s_poly(PeriodContext(level, w, n)).coeffs for n in indices]
-    images = [r_minus_hecke(PeriodContext(level, w, n), m).coeffs for n in indices]
+    base = [s_poly(PeriodContext(level, w, n)) for n in indices]
+    images = [r_minus_hecke(PeriodContext(level, w, n), m) for n in indices]
     try:
         # column k of B (of C) is the coefficient vector of base[k] (of image[k])
-        t = solve_right(ExactMatrix(list(zip(*base))), ExactMatrix(list(zip(*images))))
+        b, c = (ExactMatrix(list(zip(*(p.coeffs for p in polys)))) for polys in (base, images))
+        t = solve_right(b, c)
     except UnderdeterminedSystemError as exc:
         raise BasisDeficientError(
             "period polynomials of indices %s are dependent (rank %s); no basis at level %d, w = %d"
@@ -129,9 +124,8 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
-    base = [clear_denominators(c) for c in base]
-    s1 = _gram(base, base)
-    s2 = _gram(base, [clear_denominators(c) for c in images])
+    s1 = ExactMatrix([[coeff_inner_product(bi, bj) for bj in base] for bi in base])
+    s2 = ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
     return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
 
 

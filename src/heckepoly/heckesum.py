@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .errors import UnsupportedParityError
 from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
+from .periodpoly import _require_interior
 from .polyring import BoundedPolynomial, reciprocal_scale
 
 
@@ -116,7 +117,7 @@ def sign_restricted_sum(ctx, m):
             else:
                 b_part, den = c_sums[k - n], den * t ** (k - n)
             acc[k] += 2 * (pencil[k] * a_part * b_part // den)
-    return BoundedPolynomial(acc, bound=w)
+    return BoundedPolynomial._over(acc, 1)
 
 
 def diagonal_sum(ctx, m):
@@ -134,8 +135,7 @@ def diagonal_sum(ctx, m):
 
 def s_poly_m(ctx, m):
     """The raw index-m period polynomial sum (no divisibility correction)."""
-    if not 0 < ctx.n < ctx.w:
-        raise ValueError("need 0 < n < w, got n=%d, w=%d" % (ctx.n, ctx.w))
+    _require_interior(ctx)
     if m < 1:
         raise ValueError("m must be positive")
     return sign_restricted_sum(ctx, m) + diagonal_sum(ctx, m)

@@ -88,10 +88,7 @@ def r_plus_odd(ctx):
     )
     top = Fraction(1, level) * euler_ratio(level, n + 1, w + 2)
     low = Fraction(1, level ** (n + 1)) * euler_ratio(level, nt + 1, w + 2)
-    correction = BoundedPolynomial.monomial(w, scalar * top, bound=w) - BoundedPolynomial.monomial(
-        0, scalar * low, bound=w
-    )
-    return s_poly(ctx) - correction
+    return s_poly(ctx) - scalar * BoundedPolynomial([-low] + [0] * (w - 1) + [top])
 
 
 def period_value(ctx, m):

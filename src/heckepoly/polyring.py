@@ -1,17 +1,32 @@
 """Bounded-degree polynomial arithmetic over exact rationals.
 
-Coefficients are stored ascending by power of X: ``coeffs[k]`` is the
-coefficient of X^k.  The ``bound`` is an ambient degree cap (the weight
+Coefficients are stored ascending by power of X as integer numerators over
+their least common denominator, as in ``qoracle.QSeries``: ``num[k] / den``
+is the coefficient of X^k.  The ``bound`` is an ambient degree cap (the weight
 parameter w in most uses), so a polynomial may carry trailing zero
 coefficients up to that cap.
 """
 
 from fractions import Fraction
-from math import comb
+from itertools import zip_longest
+from math import comb, gcd, lcm
+from operator import mul
 
 
 def _as_fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def clear_denominators(values):
+    """Integers v and a positive D with values[k] == v[k] / D, D the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _lowest_terms(num, den):
+    """(num, den), den > 0, divided by gcd(den, *num): den becomes the least common denominator."""
+    g = gcd(den, *num)
+    return ([x // g for x in num], den // g) if g > 1 else (num, den)
 
 
 def convolve(a, b, length):
@@ -29,9 +44,9 @@ def convolve(a, b, length):
 
 
 class BoundedPolynomial:
-    """Polynomial in one variable X with Fraction coefficients and degree <= bound."""
+    """Polynomial in X of degree <= bound: coefficient k is num[k] / den, over the least common denominator."""
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("num", "den", "bound")
 
     def __init__(self, coeffs, bound=None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -43,9 +58,16 @@ class BoundedPolynomial:
             if any(coeffs[bound + 1 :]):
                 raise ValueError("coefficients exceed the degree bound %d" % bound)
             coeffs = coeffs[: bound + 1]
-        coeffs.extend([Fraction(0)] * (bound + 1 - len(coeffs)))
-        self.coeffs = coeffs
+        self.num, self.den = clear_denominators(coeffs + [0] * (bound + 1 - len(coeffs)))
         self.bound = bound
+
+    @classmethod
+    def _over(cls, num, den):
+        """Polynomial with coefficients num[k] / den (den > 0) and bound len(num) - 1, in lowest terms."""
+        poly = cls.__new__(cls)
+        poly.num, poly.den = _lowest_terms(num, den)
+        poly.bound = len(num) - 1
+        return poly
 
     @classmethod
     def zero(cls, bound):
@@ -53,48 +75,48 @@ class BoundedPolynomial:
 
     @classmethod
     def monomial(cls, k, c=1, bound=None):
-        if bound is None:
-            bound = k
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = _as_fraction(c)
-        return cls(coeffs, bound=bound)
+        return cls([0] * k + [c], bound=k if bound is None else bound)
+
+    @property
+    def coeffs(self):
+        return [Fraction(x, self.den) for x in self.num]
 
     def degree(self):
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
         for k in range(self.bound, -1, -1):
-            if self.coeffs[k]:
+            if self.num[k]:
                 return k
         return -1
 
     def coeff(self, k):
         if 0 <= k <= self.bound:
-            return self.coeffs[k]
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def with_bound(self, bound):
         """Same polynomial under a new ambient cap; fails if the degree exceeds it."""
         return BoundedPolynomial(self.coeffs, bound=bound)
 
     def even_part(self):
-        masked = [c if k % 2 == 0 else Fraction(0) for k, c in enumerate(self.coeffs)]
-        return BoundedPolynomial(masked, bound=self.bound)
+        return BoundedPolynomial._over([0 if k % 2 else x for k, x in enumerate(self.num)], self.den)
 
     def odd_part(self):
-        masked = [c if k % 2 == 1 else Fraction(0) for k, c in enumerate(self.coeffs)]
-        return BoundedPolynomial(masked, bound=self.bound)
+        return BoundedPolynomial._over([x if k % 2 else 0 for k, x in enumerate(self.num)], self.den)
 
     def __neg__(self):
-        return BoundedPolynomial([-c for c in self.coeffs], bound=self.bound)
+        return BoundedPolynomial._over([-x for x in self.num], self.den)
 
     def __add__(self, other):
         if not isinstance(other, BoundedPolynomial):
             return NotImplemented
-        bound = max(self.bound, other.bound)
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(bound + 1)]
-        return BoundedPolynomial(coeffs, bound=bound)
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        return BoundedPolynomial._over(
+            [u * x + v * y for x, y in zip_longest(self.num, other.num, fillvalue=0)], den
+        )
 
     def __sub__(self, other):
         if not isinstance(other, BoundedPolynomial):
@@ -103,42 +125,33 @@ class BoundedPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, BoundedPolynomial):
-            bound = self.bound + other.bound
-            return BoundedPolynomial(convolve(self.coeffs, other.coeffs, bound + 1), bound=bound)
+            length = self.bound + other.bound + 1
+            return BoundedPolynomial._over(convolve(self.num, other.num, length), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return BoundedPolynomial([c * x for x in self.coeffs], bound=self.bound)
+            return BoundedPolynomial._over([c.numerator * x for x in self.num], self.den * c.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = BoundedPolynomial([1], bound=0)
-        for _ in range(e):
-            result = result * self
-        return result
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, BoundedPolynomial):
             return NotImplemented
-        top = max(self.bound, other.bound)
-        return all(self.coeff(k) == other.coeff(k) for k in range(top + 1))
+        # lowest terms make (num, den) unique up to trailing zeros
+        return self.den == other.den and all(x == y for x, y in zip_longest(self.num, other.num, fillvalue=0))
 
     def __call__(self, x):
         x = _as_fraction(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def __repr__(self):
         terms = []
         for k in range(self.bound, -1, -1):
-            c = self.coeffs[k]
-            if c:
+            if self.num[k]:
+                c = self.coeff(k)
                 terms.append("%s*X^%d" % (c, k) if k else str(c))
         body = " + ".join(terms) if terms else "0"
         return "BoundedPolynomial(%s; bound=%d)" % (body, self.bound)
@@ -148,38 +161,35 @@ def reciprocal_scale(poly, level, w):
     """Return X^w * P(1/(level*X)) as a polynomial of degree <= w.
 
     The monomial x^k maps to X^(w-k) / level^k, so the result is a genuine
-    polynomial exactly when deg P <= w.
+    polynomial exactly when deg P <= w; over den * level^(deg P) its
+    numerators are the integers num[k] * level^(deg P - k).
     """
     if level < 1:
         raise ValueError("level must be positive")
-    if poly.degree() > w:
-        raise ValueError("degree %d exceeds w=%d; result would not be a polynomial" % (poly.degree(), w))
-    coeffs = [Fraction(0)] * (w + 1)
-    for k in range(min(poly.bound, w) + 1):
-        c = poly.coeffs[k]
-        if c:
-            coeffs[w - k] = c / level**k
-    return BoundedPolynomial(coeffs, bound=w)
+    deg = poly.degree()
+    if deg > w:
+        raise ValueError("degree %d exceeds w=%d; result would not be a polynomial" % (deg, w))
+    num = [0] * (w + 1)
+    for k in range(deg + 1):
+        num[w - k] = poly.num[k] * level ** (deg - k)
+    return BoundedPolynomial._over(num, poly.den * level ** max(deg, 0))
 
 
 def compose_linear(poly, a, b):
     """Return P(a*X + b) by exact binomial expansion; the bound is preserved."""
     a = _as_fraction(a)
     b = _as_fraction(b)
-    deg = poly.degree()
     coeffs = [Fraction(0)] * (poly.bound + 1)
-    for k in range(deg, -1, -1):
-        c = poly.coeffs[k]
-        if not c:
-            continue
-        # (aX + b)^k expanded term by term
-        for j in range(k + 1):
-            coeffs[j] += c * comb(k, j) * a**j * b ** (k - j)
+    for k, c in enumerate(poly.coeffs):
+        if c:
+            # (aX + b)^k expanded term by term
+            for j in range(k + 1):
+                coeffs[j] += c * comb(k, j) * a**j * b ** (k - j)
     return BoundedPolynomial(coeffs, bound=poly.bound)
 
 
 def coeff_inner_product(f, g):
-    """Dot product of the two coefficient vectors (rational, so no conjugation)."""
+    """Dot product of the two coefficient vectors (rational, so no conjugation), paired in integers."""
     if f.bound != g.bound:
         raise ValueError("inner product requires matching bounds (%d vs %d)" % (f.bound, g.bound))
-    return sum((a * b for a, b in zip(f.coeffs, g.coeffs)), Fraction(0))
+    return Fraction(sum(map(mul, f.num, g.num)), f.den * g.den)

@@ -9,7 +9,7 @@ Hecke matrices to cross-check the period-polynomial pipeline.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -19,10 +19,10 @@ from .errors import (
     PrecisionError,
     UnderdeterminedSystemError,
 )
-from .exactlinalg import ExactMatrix, clear_denominators, rank, solve_right
-from .exactnum import bernoulli_number, factorize, sigma
+from .exactlinalg import ExactMatrix, rank, solve_right
+from .exactnum import bernoulli_number, divisors, sigma
 from .heckeop import dim_cusp
-from .polyring import _as_fraction, convolve
+from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
 
 
 class QSeries:
@@ -47,10 +47,9 @@ class QSeries:
     @classmethod
     def _over(cls, weight, num, den):
         """Series num[n] / den (den > 0), reduced to the least common denominator."""
-        g = gcd(den, *num)
         series = cls.__new__(cls)
         series.weight, series.prec = weight, len(num) - 1
-        series.num, series.den = ([x // g for x in num], den // g) if g > 1 else (num, den)
+        series.num, series.den = _lowest_terms(num, den)
         return series
 
     @property
@@ -107,8 +106,7 @@ class QSeries:
             return QSeries._over(self.weight, [c.numerator * x for x in self.num], self.den * c.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -177,14 +175,16 @@ def eta_quotient(parts, prec):
     inner = prec - lead
     if inner < 0:
         raise ValueError("prec %d below the leading exponent %d" % (prec, lead))
-    prod = [1] + [0] * inner
+    # sparse Euler factors build the positive and the negative part; one inversion divides them
+    pos, neg = [1] + [0] * inner, [1] + [0] * inner
     for delta, r in parts:
         factor = _euler_factor(delta, inner)
-        if r < 0:
-            factor = _series_inverse(factor, inner)
         for _ in range(abs(r)):
-            prod = convolve(factor, prod, inner + 1)
-    return QSeries._over(rsum // 2, [0] * lead + prod, 1)
+            if r > 0:
+                pos = convolve(factor, pos, inner + 1)
+            else:
+                neg = convolve(factor, neg, inner + 1)
+    return QSeries._over(rsum // 2, [0] * lead + convolve(_series_inverse(neg, inner), pos, inner + 1), 1)
 
 
 def eisenstein_level1(k, prec):
@@ -236,24 +236,12 @@ def eisenstein_gamma02(k, cusp, prec):
     return Fraction(2**k, 2**k - 1) * (ek - ek2)
 
 
-def _hecke_u2(f):
-    return QSeries._over(f.weight, f.num[::2], f.den)
-
-
-def _hecke_tp(f, p, k):
-    num = f.num[::p]
-    scale = p ** (k - 1)
-    for n in range(0, len(num), p):
-        num[n] += scale * f.num[n // p]
-    return QSeries._over(f.weight, num, f.den)
-
-
 def hecke_on_qseries(f, k, m, out_prec=None):
     """Apply T_m to a weight-k form on Gamma0(2), coefficientwise.
 
-    For p = 2 the action is a_n -> a_{2n}; for odd primes
-    a_n -> a_{np} + p^(k-1) a_{n/p}; prime powers follow the usual recurrence
-    and coprime indices compose.  The result keeps prec(f) // m coefficients.
+    a_n(T_m f) = sum over odd d | gcd(m, n) of d^(k-1) a_{mn/d^2}: the even
+    d drop out because 2 divides the level.  The result keeps coefficients
+    0 .. prec(f) // m, or 0 .. out_prec when that is given.
     """
     if f.weight != k:
         raise ValueError("series weight %s does not match k = %d" % (f.weight, k))
@@ -265,19 +253,12 @@ def hecke_on_qseries(f, k, m, out_prec=None):
             % (m * out_prec, out_prec, m, f.prec),
             required=m * out_prec,
         )
-    g = f
-    for p, r in factorize(m):
-        if p == 2:
-            for _ in range(r):
-                g = _hecke_u2(g)
-        else:
-            prev, cur = g, _hecke_tp(g, p, k)
-            for _ in range(r - 1):
-                prev, cur = cur, _hecke_tp(cur, p, k) - p ** (k - 1) * prev
-            g = cur
-    if out_prec is not None:
-        g = g.truncate(out_prec)
-    return g
+    top = f.prec // m if out_prec is None else out_prec
+    # a divisor of gcd(m, n) with n >= 1 is at most top; only a_0 != 0 needs every divisor of m
+    candidates = divisors(m) if f.num[0] else range(1, top + 1, 2)
+    odd = [(d, d ** (k - 1)) for d in candidates if d % 2 and m % d == 0]
+    num = [sum(e * f.num[m * n // (d * d)] for d, e in odd if n % d == 0) for n in range(top + 1)]
+    return QSeries._over(k, num, f.den)
 
 
 def cusp_basis_gamma02(k, prec):

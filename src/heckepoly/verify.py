@@ -10,6 +10,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .exactlinalg import ExactMatrix, charpoly, determinant, hankel_bernoulli, solve_right
+from .exactnum import bernoulli_number
 from .heckeop import basis_matrix, dim_cusp, hecke_computation
 from .heckesum import (
     diagonal_sum,
@@ -25,6 +26,7 @@ from .polyring import BoundedPolynomial
 from .qoracle import (
     QSeries,
     cusp_basis_gamma02,
+    eisenstein_level1,
     eta_quotient,
     hecke_matrix_oracle,
     hecke_on_qseries,
@@ -54,29 +56,25 @@ def _evaluate(check):
         return CheckResult(check.name, False, "%s: %s" % (type(exc).__name__, exc))
 
 
-def _poly(coeffs, bound=None):
-    return BoundedPolynomial(coeffs, bound=bound)
-
-
 def _check_paper_s262():
-    expected = Fraction(-1, 15) * _poly([0, 1, 0, -5, 0, 4])
+    expected = Fraction(-1, 15) * BoundedPolynomial([0, 1, 0, -5, 0, 4])
     assert s_poly(PeriodContext(2, 6, 2)) == expected
 
 
 def _check_paper_s_2_10():
     got2 = s_poly(PeriodContext(2, 10, 2))
-    assert got2 == Fraction(-1, 45) * _poly([0, 5, 0, -45, 0, 168, 0, -320, 0, 192])
+    assert got2 == Fraction(-1, 45) * BoundedPolynomial([0, 5, 0, -45, 0, 168, 0, -320, 0, 192])
     # the published rendering of the second polynomial carries an X^6/X^4 typo;
     # this is the value recomputed from the defining formula (odd powers only)
     got4 = s_poly(PeriodContext(2, 10, 4))
-    assert got4 == Fraction(1, 210) * _poly([0, 7, 0, -55, 0, 168, 0, -280, 0, 160])
+    assert got4 == Fraction(1, 210) * BoundedPolynomial([0, 7, 0, -55, 0, 168, 0, -280, 0, 160])
 
 
 def _check_paper_s2_corrected():
     got2 = r_minus_hecke(PeriodContext(2, 10, 2), 2)
-    assert got2 == Fraction(128, 45) * _poly([0, -5, 0, 30, 0, -42, 0, 5, 0, 12])
+    assert got2 == Fraction(128, 45) * BoundedPolynomial([0, -5, 0, 30, 0, -42, 0, 5, 0, 12])
     got4 = r_minus_hecke(PeriodContext(2, 10, 4), 2)
-    assert got4 == Fraction(-32, 105) * _poly([0, -7, 0, 40, 0, -42, 0, -35, 0, 44])
+    assert got4 == Fraction(-32, 105) * BoundedPolynomial([0, -7, 0, 40, 0, -42, 0, -35, 0, 44])
 
 
 def _check_paper_s442():
@@ -91,16 +89,14 @@ def _check_paper_level4_m8():
         (1, -1, 4, 4),
         (1, 1, -4, 4),
     ]
-    assert sign_restricted_sum(ctx, 8) == -1024 * _poly([0, 1, 0, -2, 0, 1])
-    assert diagonal_sum(ctx, 8) == Fraction(-256, 15) * _poly([0, -56, 0, 40, 0, 1])
-    assert moebius_correction(ctx, 8) == 256 * _poly([0, 0, 0, -4, 0, 3])
-    assert r_minus_hecke(ctx, 8) == Fraction(-1024, 15) * _poly([0, 1, 0, -5, 0, 4])
+    assert sign_restricted_sum(ctx, 8) == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1])
+    assert diagonal_sum(ctx, 8) == Fraction(-256, 15) * BoundedPolynomial([0, -56, 0, 40, 0, 1])
+    assert moebius_correction(ctx, 8) == 256 * BoundedPolynomial([0, 0, 0, -4, 0, 3])
+    assert r_minus_hecke(ctx, 8) == Fraction(-1024, 15) * BoundedPolynomial([0, 1, 0, -5, 0, 4])
 
 
 def _check_paper_leading_coeff_remark():
     # the odd polynomial of index 2 at w = 6 starts N^3 B_4 X^5 + ...
-    from .exactnum import bernoulli_number
-
     assert s_poly(PeriodContext(2, 6, 2)).coeff(5) == 2**3 * bernoulli_number(4)
 
 
@@ -123,7 +119,7 @@ def _check_paper_t3_level4():
         ]
     )
     # (x - 228)(x + 156)^2 expanded exactly
-    target = _poly([-228, 1]) * _poly([156, 1]) * _poly([156, 1])
+    target = BoundedPolynomial([-228, 1]) * BoundedPolynomial([156, 1]) * BoundedPolynomial([156, 1])
     assert comp.charpoly() == target.coeffs
     assert charpoly(printed) == target.coeffs
     # the published 3x3 entries pair the image polynomials in the first slot,
@@ -154,8 +150,6 @@ def _check_paper_weight10_forms():
     f = cusp_basis_gamma02(10, 10)[0]
     assert f.prefix(4) == (0, 1, 16, -156, 256)
     # newform on Gamma0(4): eta(2z)^12 * E_4(2z) = q + 228q^3 - 666q^5 + ...
-    from .qoracle import eisenstein_level1
-
     g = eta_quotient([(2, 12)], 10) * scale_variable(eisenstein_level1(4, 10), 2)
     assert g.prefix(5) == (0, 1, 0, 228, 0, -666)
 

@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from heckepoly.cli import MAX_BERNOULLI, MAX_DIM, MAX_HECKE_M, MAX_LIST_M, MAX_PREC, MAX_SUM_M, main
+from heckepoly.cli import (
+    MAX_BERNOULLI,
+    MAX_DIM,
+    MAX_ETA_EXPONENTS,
+    MAX_HECKE_M,
+    MAX_LIST_M,
+    MAX_ORACLE_WORK,
+    MAX_PREC,
+    MAX_SUM_M,
+    MAX_SUM_WORK,
+    main,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -280,3 +291,84 @@ def test_console_entrypoint_runs():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit")
+def test_results_past_the_int_str_digit_limit(capsys):
+    # the charpoly has coefficients of more than 640 digits: at the lowered limit they are still printed,
+    # the caller's limit reads the same afterwards, and user input is still parsed under Python's default
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status, out, err = run_cli(capsys, "charpoly", "--level", "2", "--w", "80", "--m", "7")
+        limit_after = sys.get_int_max_str_digits()
+        form_status, form_out, form_err = run_cli(capsys, "qexp", "--form", "eta:1^" + "1" * 5000, "--prec", "5")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (status, err, limit_after) == (0, "", 640)
+    coeffs = json.loads(out)["charpoly"]
+    assert coeffs[-1] == "1"
+    assert all(c.lstrip("-").isdigit() for c in coeffs)
+    assert max(len(c) for c in coeffs) > 640
+    assert (form_status, form_out) == (1, "")
+    error = json.loads(form_err)["error"]
+    assert error["code"] == "PreconditionViolated"
+    assert "Exceeds the limit" in error["message"]
+
+
+def _assert_precondition(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (1, ""), argv
+    error = json.loads(err)["error"]
+    assert error["code"] == "PreconditionViolated"
+    assert error["message"] == message
+
+
+def test_eta_exponent_cap(capsys):
+    # sum |r| = 302, one over the cap; eta:1^-299,299^1 sits at the cap (~10 s at prec 2000)
+    _assert_precondition(
+        capsys,
+        ("qexp", "--form", "eta:1^-301,301^1", "--prec", "5"),
+        "eta exponents sum to |r| = 302, over the cap %d" % MAX_ETA_EXPONENTS,
+    )
+    status, out, _ = run_cli(capsys, "qexp", "--form", "eta:1^-299,299^1", "--prec", "5")
+    assert status == 0
+    assert json.loads(out)["coeffs"][:2] == ["1", "299"]  # prod (1 - q^n)^-299 below q^299
+    with pytest.raises(SystemExit):
+        main(["qexp", "--help"])
+    assert "sum |r| <= %d" % MAX_ETA_EXPONENTS in " ".join(capsys.readouterr().out.split())
+
+
+def test_oracle_work_cap(capsys):
+    # d prec^2 = 40 * 296^2 and 2 * 1323^2 are just over the cap; 2 * 1322^2 is just under it
+    _assert_precondition(
+        capsys,
+        ("oracle-matrix", "--weight", "164", "--m", "2", "--prec", "296"),
+        "d prec^2 = 40 * 296^2 exceeds the cap %d" % MAX_ORACLE_WORK,
+    )
+    _assert_precondition(
+        capsys,
+        ("oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1323"),
+        "d prec^2 = 2 * 1323^2 exceeds the cap %d" % MAX_ORACLE_WORK,
+    )
+    status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1322")
+    assert status == 0
+    assert json.loads(out)["prec"] == 1322
+    with pytest.raises(SystemExit):
+        main(["oracle-matrix", "--help"])
+    assert "d prec^2 <= %d" % MAX_ORACLE_WORK in " ".join(capsys.readouterr().out.split())
+
+
+def test_hecke_sum_work_cap(capsys):
+    # m (w + 1) = 28 * 1099 is refused before B_1099 is computed; 6000 * 5 sits at the cap
+    _assert_precondition(
+        capsys,
+        ("hecke-sum", "--level", "2", "--w", "1098", "--n", "2", "--m", "28"),
+        "m (w + 1) = 28 * 1099 exceeds the cap %d" % MAX_SUM_WORK,
+    )
+    status, out, _ = run_cli(capsys, "hecke-sum", "--level", "2", "--w", "4", "--n", "2", "--m", "6000")
+    assert status == 0
+    assert json.loads(out)["m"] == 6000
+    with pytest.raises(SystemExit):
+        main(["hecke-sum", "--help"])
+    assert "m (w + 1) <= %d" % MAX_SUM_WORK in " ".join(capsys.readouterr().out.split())

@@ -16,7 +16,7 @@ from heckepoly.heckeop import (
 )
 from heckepoly.heckesum import eigenvalue_w6, r_minus_hecke
 from heckepoly.periodpoly import PeriodContext, s_poly
-from heckepoly.polyring import BoundedPolynomial, coeff_inner_product
+from heckepoly.polyring import BoundedPolynomial
 from heckepoly.qoracle import eta_quotient
 
 
@@ -171,15 +171,18 @@ def test_error_paths():
 
 
 def test_integer_gram_and_solve_match_rational_pipeline():
-    # S1/S2 against the Fraction dot product, T against the explicit inverse,
-    # and S1 T = S2 directly, on levels 2..5
+    # S1/S2 against a Fraction dot product of the coefficient lists (not coeff_inner_product,
+    # which builds them), T against the explicit inverse, and S1 T = S2 directly, on levels 2..5
+    def dot(f, g):
+        return sum(a * b for a, b in zip(f.coeffs, g.coeffs))
+
     grid = [(2, 14, 2), (2, 18, 3), (2, 22, 4), (3, 16, 2), (3, 20, 5), (4, 12, 3), (4, 16, 2), (5, 12, 2), (5, 16, 3)]
     for level, w, m in grid:
         comp = hecke_computation(level, w, m)
         base = [s_poly(PeriodContext(level, w, n)) for n in comp.basis_indices]
         images = [r_minus_hecke(PeriodContext(level, w, n), m) for n in comp.basis_indices]
-        assert comp.s1 == ExactMatrix([[coeff_inner_product(bi, bj) for bj in base] for bi in base])
-        assert comp.s2 == ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
+        assert comp.s1 == ExactMatrix([[dot(bi, bj) for bj in base] for bi in base])
+        assert comp.s2 == ExactMatrix([[dot(bi, img) for img in images] for bi in base])
         assert comp.t == mat_inverse(comp.s1) * comp.s2, (level, w, m)
         assert comp.s1 * comp.t == comp.s2
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -118,3 +119,58 @@ def test_inner_product_printed_polynomial():
     # self-pairing of -(1/45)(192X^9 - 320X^7 + 168X^5 - 45X^3 + 5X)
     s = Fraction(-1, 45) * BoundedPolynomial([0, 5, 0, -45, 0, 168, 0, -320, 0, 192], bound=10)
     assert coeff_inner_product(s, s) == Fraction(169538, 2025)
+
+
+def _fraction_model_check(p, coeffs, bound):
+    # the integer representation against a plain Fraction coefficient list
+    assert p.bound == bound
+    assert p.coeffs == coeffs + [Fraction(0)] * (bound + 1 - len(coeffs))
+    assert p.den > 0
+    assert gcd(p.den, *p.num) == 1
+    if not any(p.num):
+        assert p.den == 1
+
+
+def test_integer_representation_matches_fraction_model():
+    rng = random.Random(17)
+
+    def rand_coeffs(bound):
+        if rng.random() < 0.15:
+            return [Fraction(0)] * (bound + 1)
+        return [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 35])) for _ in range(bound + 1)]
+
+    def pad(c, n):
+        return c + [Fraction(0)] * (n - len(c))
+
+    for _ in range(150):
+        ba, bb = rng.randint(0, 8), rng.randint(0, 8)
+        a, b = rand_coeffs(ba), rand_coeffs(bb)
+        p, q = BoundedPolynomial(a, bound=ba), BoundedPolynomial(b, bound=bb)
+        _fraction_model_check(p, a, ba)
+        top = max(ba, bb)
+        _fraction_model_check(p + q, [x + y for x, y in zip(pad(a, top + 1), pad(b, top + 1))], top)
+        _fraction_model_check(p - q, [x - y for x, y in zip(pad(a, top + 1), pad(b, top + 1))], top)
+        _fraction_model_check(-p, [-x for x in a], ba)
+        for c in (0, 2, Fraction(1, 2), rng.randint(-7, 7), Fraction(rng.randint(-7, 7), rng.randint(1, 12))):
+            _fraction_model_check(p * c, [c * x for x in a], ba)
+            _fraction_model_check(c * p, [c * x for x in a], ba)
+            assert (p == c * p) == (c == 1 or not any(a))
+        product = [Fraction(0)] * (ba + bb + 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        _fraction_model_check(p * q, product, ba + bb)
+        deg = max((k for k, x in enumerate(a) if x), default=-1)
+        for new_bound in (max(deg, 0), ba + rng.randint(0, 4)):
+            _fraction_model_check(p.with_bound(new_bound), pad(a, new_bound + 1)[: new_bound + 1], new_bound)
+            # equality ignores the ambient bound, and only the bound
+            assert p == p.with_bound(new_bound) == BoundedPolynomial(a, bound=ba)
+        assert (p == q) == (pad(a, top + 1) == pad(b, top + 1))
+        assert p != p + BoundedPolynomial.monomial(ba + 1, Fraction(1, 3))
+        _fraction_model_check(p.even_part(), [x if k % 2 == 0 else 0 for k, x in enumerate(a)], ba)
+        _fraction_model_check(p.odd_part(), [x if k % 2 else 0 for k, x in enumerate(a)], ba)
+        level, w = rng.randint(1, 6), max(deg, 0) + rng.randint(0, 3)
+        scaled = [Fraction(0)] * (w + 1)
+        for k, x in enumerate(a[: w + 1]):
+            scaled[w - k] = x / level**k
+        _fraction_model_check(reciprocal_scale(p, level, w), scaled, w)

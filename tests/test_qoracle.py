@@ -143,6 +143,23 @@ def test_hecke_prime_power_consistency():
     t9 = hecke_on_qseries(f, 8, 9)
     manual = hecke_on_qseries(t3, 8, 3) - 3**7 * f
     assert t9.prefix(9) == manual.prefix(9)
+    # Hecke-algebra relations, whatever form hecke_on_qseries takes: T_2 applied r times is
+    # T_(2^r), T_a T_b = T_ab for coprime a, b, and T_(p^2) = T_p T_p - p^(k-1)
+    prec = 300
+    for k in range(8, 22, 2):
+        forms = cusp_basis_gamma02(k, prec) + [eisenstein_gamma02(k, c, prec) for c in ("infinity", "zero")]
+        for f in forms:
+            g = f
+            for r in range(1, 5):
+                g = hecke_on_qseries(g, k, 2)
+                assert g.coeffs == hecke_on_qseries(f, k, 2**r).coeffs, (k, r)
+            for a, b in ((2, 3), (3, 4), (4, 5), (3, 5)):
+                composed = hecke_on_qseries(hecke_on_qseries(f, k, b), k, a)
+                assert composed.coeffs == hecke_on_qseries(f, k, a * b).coeffs, (k, a, b)
+            for p in (3, 5):
+                twice = hecke_on_qseries(hecke_on_qseries(f, k, p), k, p)
+                top = prec // (p * p)
+                assert hecke_on_qseries(f, k, p * p).prefix(top) == (twice - p ** (k - 1) * f).prefix(top), (k, p)
 
 
 def test_cusp_basis_cardinality_and_leading():
@@ -413,3 +430,10 @@ def test_oracle_matches_pipeline_k26_to_40():
     for k in range(26, 42, 2):
         for m in (2, 3, 4, 5):
             assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m)), (k, m)
+
+
+def test_hecke_on_qseries_huge_index_on_cusp_forms():
+    # with a_0 = 0 only the divisors of m up to prec // m matter, so a huge prime m costs nothing
+    f = cusp_basis_gamma02(12, 40)[0]
+    assert hecke_on_qseries(f, 12, 2**61 - 1).coeffs == [0]
+    assert hecke_on_qseries(f, 12, 3 * (2**61 - 1)).coeffs == [0]
