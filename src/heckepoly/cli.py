@@ -206,12 +206,13 @@ def _cmd_qexp(args):
     with _int_str_digits(getattr(sys.int_info, "default_max_str_digits", 0)):
         if kind == "eta":
             series = eta_quotient(_parse_eta_parts(rest), args.prec)
-        elif kind == "E":
-            series = eisenstein_level1(int(rest), args.prec)
-        elif kind == "Einf":
-            series = eisenstein_gamma02(int(rest), "infinity", args.prec)
-        elif kind == "E0":
-            series = eisenstein_gamma02(int(rest), "zero", args.prec)
+        elif kind in ("E", "Einf", "E0"):
+            k = int(rest)
+            _check_bernoulli_index(k)  # E_k needs B_k
+            if kind == "E":
+                series = eisenstein_level1(k, args.prec)
+            else:
+                series = eisenstein_gamma02(k, "infinity" if kind == "Einf" else "zero", args.prec)
         else:
             raise ValueError("unknown form kind %r (want eta, E, Einf, E0)" % kind)
     _emit(
@@ -310,7 +311,8 @@ def build_parser():
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("qexp", help="q-expansion of eta quotients / Eisenstein series")
-    p.add_argument("--form", required=True, help="'eta:1^8,2^8' (sum |r| <= %d), 'E:k', 'Einf:k' or 'E0:k'" % MAX_ETA_EXPONENTS)
+    form_help = "'eta:1^8,2^8' (sum |r| <= %d), 'E:k', 'Einf:k' or 'E0:k' (k <= %d)" % (MAX_ETA_EXPONENTS, MAX_BERNOULLI)
+    p.add_argument("--form", required=True, help=form_help)
     p.add_argument("--prec", type=int, default=20, help="0 <= prec <= %d" % MAX_PREC)
     p.set_defaults(func=_cmd_qexp)
 

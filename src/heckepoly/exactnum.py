@@ -9,7 +9,7 @@ nothing here ever rounds.
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from operator import mul
 
 from .polyring import BoundedPolynomial
@@ -62,17 +62,21 @@ def bernoulli_poly0(k, terms=((1, 1),)):
 
     B^0_k(x) = sum over even i, 0 <= i <= k, of C(k,i) B_i x^(k-i) is the k-th
     Bernoulli polynomial without its B_1 term, so the X^(k-i) coefficient of
-    the sum is C(k,i) B_i times the integer power sum of c*a^(k-i).  The bound
+    the sum is C(k,i) B_i times the integer power sum of c*a^(k-i); the numerators
+    are built in integers over the lcm of the denominators of those B_i.  The bound
     is k, B^0_k itself has degree exactly k, and nothing depends on the B_1
     convention.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
     sums = power_sums(terms, k)
-    coeffs = [Fraction(0)] * (k + 1)
-    for i in range(0, k + 1, 2):
-        coeffs[k - i] = comb(k, i) * bernoulli_number(i) * sums[k - i]
-    return BoundedPolynomial(coeffs, bound=k)
+    evens = range(0, k + 1, 2)
+    bs = [bernoulli_number(i) for i in evens]
+    den = lcm(*(b.denominator for b in bs))
+    num = [0] * (k + 1)
+    for i, b in zip(evens, bs):
+        num[k - i] = comb(k, i) * b.numerator * (den // b.denominator) * sums[k - i]
+    return BoundedPolynomial._over(num, den)
 
 
 def divisors(n):

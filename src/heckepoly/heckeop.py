@@ -17,7 +17,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactlinalg import ExactMatrix, charpoly, solve_right
-from .heckesum import r_minus_hecke
+from .heckesum import hecke_images
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
 from .polyring import coeff_inner_product
 
@@ -110,7 +110,7 @@ def hecke_computation(level, w, m):
             "dimension %d exceeds the %d even period indices available at w = %d" % (d, (w - 2) // 2, w)
         )
     base = [s_poly(PeriodContext(level, w, n)) for n in indices]
-    images = [r_minus_hecke(PeriodContext(level, w, n), m) for n in indices]
+    images = hecke_images(level, w, indices, m)
     try:
         # column k of B (of C) is the coefficient vector of base[k] (of image[k])
         b, c = (ExactMatrix(list(zip(*(p.coeffs for p in polys)))) for polys in (base, images))
@@ -124,9 +124,12 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
-    s1 = ExactMatrix([[coeff_inner_product(bi, bj) for bj in base] for bi in base])
+    s1 = [[None] * d for _ in range(d)]
+    for i in range(d):  # S1 is symmetric: pair the upper triangle and mirror it
+        for j in range(i, d):
+            s1[i][j] = s1[j][i] = coeff_inner_product(base[i], base[j])
     s2 = ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
-    return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
+    return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=ExactMatrix(s1), s2=s2, t=t)
 
 
 def hecke_matrix(level, w, m):

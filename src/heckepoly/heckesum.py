@@ -18,6 +18,11 @@ doubled.  Summed over the divisor pairs of s and t, each coefficient is one
 (of b) are written as powers of d = s/a (of c = t/b) over a power of s
 (of t), and that power divides the product exactly because the product is
 the integer sum of the per-matrix coefficients.
+
+The divisor power sums depend on (N, m, s) and never on the period index n,
+so ``sign_restricted_sum`` takes a list of indices and builds them once per s
+for all of them; ``hecke_images`` returns the corrected images of a whole
+period basis from that one pass.
 """
 
 from fractions import Fraction
@@ -26,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import UnsupportedParityError
 from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
-from .periodpoly import _require_interior
+from .periodpoly import PeriodContext, _require_interior
 from .polyring import BoundedPolynomial, reciprocal_scale
 
 
@@ -79,8 +84,8 @@ def _pencil(n, nt, s, t):
     return coeffs
 
 
-def sign_restricted_sum(ctx, m):
-    """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt, in closed form.
+def sign_restricted_sum(level, w, ns, m):
+    """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt, in closed form, for each n in ns.
 
     H_neg is closed under global negation and the two members of an orbit
     contribute equal summands (w is even), so the a > 0 representatives,
@@ -92,32 +97,38 @@ def sign_restricted_sum(ctx, m):
     with P = (1+X)^n (s - tX)^nt (see the module docstring).  For k < nt the
     a-sum is (sum of d^(nt-k)) / s^(nt-k) and for k > n the b-sum is
     (sum of c^(k-n)) / t^(k-n); the product is divided once, exactly.
-    N | c forces N | t, so only s = m mod N contribute.
+    N | c forces N | t, so only s = m mod N contribute.  The divisor power
+    sums depend on (level, m, s) alone, so one pass over s builds them once,
+    to exponent w, and serves every index; only the pencil is per n.
+    Returns one integer-coefficient polynomial per n, in the order of ns.
     """
-    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
-    acc = [0] * (w + 1)
-    for s in range(1, m):
+    ns = list(ns)
+    for n in ns:
+        PeriodContext(level, w, n)  # checks level >= 2, w even and 0 <= n <= w
+    accs = [[0] * (w + 1) for _ in ns]
+    for s in range(m % level or level, m, level):
         t = m - s
-        if t % level:
-            continue
         avals = [a for a in divisors(s) if gcd(a, level) == 1]
         cvals = [c for c in divisors(t) if c % level == 0]
-        a_sums = power_sums([(1, a) for a in avals], n)
-        d_sums = power_sums([(1, s // a) for a in avals], nt)
-        b_sums = power_sums([(1, t // c) for c in cvals], n)
-        c_sums = power_sums([(1, c) for c in cvals], nt)
-        pencil = _pencil(n, nt, s, t)
-        for k in range((n + 1) % 2, w + 1, 2):
-            if k >= nt:
-                a_part, den = a_sums[k - nt], 1
-            else:
-                a_part, den = d_sums[nt - k], s ** (nt - k)
-            if k <= n:
-                b_part = b_sums[n - k]
-            else:
-                b_part, den = c_sums[k - n], den * t ** (k - n)
-            acc[k] += 2 * (pencil[k] * a_part * b_part // den)
-    return BoundedPolynomial._over(acc, 1)
+        a_sums = power_sums([(1, a) for a in avals], w)
+        d_sums = power_sums([(1, s // a) for a in avals], w)
+        b_sums = power_sums([(1, t // c) for c in cvals], w)
+        c_sums = power_sums([(1, c) for c in cvals], w)
+        s_pows, t_pows = power_sums([(1, s)], w), power_sums([(1, t)], w)  # s^e and t^e, e = 0..w
+        for n, acc in zip(ns, accs):
+            nt = w - n
+            pencil = _pencil(n, nt, s, t)
+            for k in range((n + 1) % 2, w + 1, 2):
+                if k >= nt:
+                    a_part, den = a_sums[k - nt], 1
+                else:
+                    a_part, den = d_sums[nt - k], s_pows[nt - k]
+                if k <= n:
+                    b_part = b_sums[n - k]
+                else:
+                    b_part, den = c_sums[k - n], den * t_pows[k - n]
+                acc[k] += 2 * (pencil[k] * a_part * b_part // den)
+    return [BoundedPolynomial._over(acc, 1) for acc in accs]
 
 
 def diagonal_sum(ctx, m):
@@ -138,7 +149,7 @@ def s_poly_m(ctx, m):
     _require_interior(ctx)
     if m < 1:
         raise ValueError("m must be positive")
-    return sign_restricted_sum(ctx, m) + diagonal_sum(ctx, m)
+    return sign_restricted_sum(ctx.level, ctx.w, [ctx.n], m)[0] + diagonal_sum(ctx, m)
 
 
 def moebius_correction(ctx, m):
@@ -158,14 +169,29 @@ def moebius_correction(ctx, m):
     return -Fraction(level**nt, n + 1) * reciprocal_scale(bernoulli_poly0(n + 1, terms), level, w)
 
 
+def hecke_images(level, w, ns, m):
+    """Corrected odd period polynomials of the index-m form for every even index n in ns.
+
+    Each is s_poly_m plus, when level | m, the Moebius correction; the sign
+    sums of all the indices come from one sign_restricted_sum pass.
+    """
+    ctxs = [PeriodContext(level, w, n) for n in ns]
+    for ctx in ctxs:
+        if ctx.n % 2:
+            raise UnsupportedParityError("the odd period polynomial needs even n, got n=%d" % ctx.n)
+        _require_interior(ctx)
+    if m < 1:
+        raise ValueError("m must be positive")
+    signed = sign_restricted_sum(level, w, ns, m)
+    images = [part + diagonal_sum(ctx, m) for part, ctx in zip(signed, ctxs)]
+    if m % level == 0:
+        images = [image + moebius_correction(ctx, m) for image, ctx in zip(images, ctxs)]
+    return images
+
+
 def r_minus_hecke(ctx, m):
     """Odd period polynomial of the index-m form: s_poly_m, corrected when level | m."""
-    if ctx.n % 2:
-        raise UnsupportedParityError("the odd period polynomial needs even n, got n=%d" % ctx.n)
-    base = s_poly_m(ctx, m)
-    if m % ctx.level == 0:
-        base = base + moebius_correction(ctx, m)
-    return base
+    return hecke_images(ctx.level, ctx.w, [ctx.n], m)[0]
 
 
 def eigenvalue_w6(m):

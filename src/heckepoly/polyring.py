@@ -98,7 +98,11 @@ class BoundedPolynomial:
 
     def with_bound(self, bound):
         """Same polynomial under a new ambient cap; fails if the degree exceeds it."""
-        return BoundedPolynomial(self.coeffs, bound=bound)
+        if bound < 0:
+            raise ValueError("bound must be nonnegative")
+        if self.degree() > bound:
+            raise ValueError("coefficients exceed the degree bound %d" % bound)
+        return BoundedPolynomial._over(self.num[: bound + 1] + [0] * (bound - self.bound), self.den)
 
     def even_part(self):
         return BoundedPolynomial._over([0 if k % 2 else x for k, x in enumerate(self.num)], self.den)

@@ -20,7 +20,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, divisors, sigma
+from .exactnum import bernoulli_number, divisors
 from .heckeop import dim_cusp
 from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
 
@@ -196,7 +196,12 @@ def eisenstein_level1(k, prec):
     if k < 2 or k % 2:
         raise ValueError("k must be an even integer >= 2")
     c = Fraction(-2 * k) / bernoulli_number(k)
-    num = [c.denominator] + [c.numerator * sigma(k - 1, n) for n in range(1, prec + 1)]
+    sigmas = [0] * (prec + 1)  # sigma_{k-1}(n) by one sieve: d^(k-1) goes to every multiple of d
+    for d in range(1, prec + 1):
+        power = d ** (k - 1)
+        for n in range(d, prec + 1, d):
+            sigmas[n] += power
+    num = [c.denominator] + [c.numerator * x for x in sigmas[1:]]
     return QSeries._over(k, num, c.denominator)
 
 

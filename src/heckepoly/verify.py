@@ -89,7 +89,7 @@ def _check_paper_level4_m8():
         (1, -1, 4, 4),
         (1, 1, -4, 4),
     ]
-    assert sign_restricted_sum(ctx, 8) == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1])
+    assert sign_restricted_sum(ctx.level, ctx.w, [ctx.n], 8)[0] == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1])
     assert diagonal_sum(ctx, 8) == Fraction(-256, 15) * BoundedPolynomial([0, -56, 0, 40, 0, 1])
     assert moebius_correction(ctx, 8) == 256 * BoundedPolynomial([0, 0, 0, -4, 0, 3])
     assert r_minus_hecke(ctx, 8) == Fraction(-1024, 15) * BoundedPolynomial([0, 1, 0, -5, 0, 4])

@@ -64,7 +64,7 @@ def test_criterion_02_s442_vanishes():
 def test_criterion_03_level4_m8():
     def body():
         ctx = PeriodContext(4, 6, 2)
-        assert sign_restricted_sum(ctx, 8) == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1], bound=6)
+        assert sign_restricted_sum(ctx.level, ctx.w, [ctx.n], 8)[0] == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1], bound=6)
         assert diagonal_sum(ctx, 8) == frac_poly((-256, 15), [0, -56, 0, 40, 0, 1], bound=6)
         assert moebius_correction(ctx, 8) == 256 * BoundedPolynomial([0, 0, 0, -4, 0, 3], bound=6)
         assert r_minus_hecke(ctx, 8) == frac_poly((-1024, 15), [0, 1, 0, -5, 0, 4], bound=6)

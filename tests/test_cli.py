@@ -190,6 +190,20 @@ def test_bernoulli_index_cap(capsys):
         assert "<= %d" % MAX_BERNOULLI in capsys.readouterr().out
 
 
+def test_eisenstein_weight_cap(capsys):
+    # E_k needs B_k: an even weight past MAX_BERNOULLI is refused before the recurrence runs
+    k = MAX_BERNOULLI + 2
+    for kind in ("E", "Einf", "E0"):
+        _assert_precondition(
+            capsys,
+            ("qexp", "--form", "%s:%d" % (kind, k), "--prec", "5"),
+            "Bernoulli index %d exceeds the cap %d" % (k, MAX_BERNOULLI),
+        )
+    with pytest.raises(SystemExit):
+        main(["qexp", "--help"])
+    assert "(k <= %d)" % MAX_BERNOULLI in " ".join(capsys.readouterr().out.split())
+
+
 def test_charpoly_beyond_weight_62(capsys):
     status, out, _ = run_cli(capsys, "hecke-matrix", "--level", "3", "--w", "70", "--m", "2")
     assert status == 0

@@ -1,7 +1,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -76,6 +76,18 @@ def test_bernoulli_poly0_terms_are_scaled_sums():
             assert got == want
             assert got.bound == k
     assert bernoulli_poly0(6, []) == BoundedPolynomial.zero(6)
+
+
+def test_bernoulli_poly0_matches_fraction_coefficients():
+    # integer numerators over the lcm of the B_i denominators, against C(k,i) B_i sum c a^(k-i) as Fractions
+    terms = [(1, 1), (-3, 2), (5, 7)]
+    for k in range(100):
+        want = [Fraction(0)] * (k + 1)
+        for i in range(0, k + 1, 2):
+            want[k - i] = comb(k, i) * bernoulli_number(i) * sum(c * a ** (k - i) for c, a in terms)
+        got = bernoulli_poly0(k, terms)
+        assert got.coeffs == want and got.bound == k, k
+        assert got.den == lcm(*(x.denominator for x in want)), k
 
 
 def test_sigma_examples():

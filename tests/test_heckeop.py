@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
-from heckepoly import heckeop
+from heckepoly import heckeop, heckesum
 from heckepoly.errors import BasisDeficientError, EmptySpaceError, LevelError
 from heckepoly.exactlinalg import ExactMatrix, determinant, mat_inverse
 from heckepoly.exactnum import bernoulli_number
@@ -202,12 +203,39 @@ def test_dependent_basis_names_rank(monkeypatch):
 def test_image_outside_span_is_basis_deficient(monkeypatch):
     # every base polynomial has X^2 coefficient 0, so adding X^2 to one image
     # takes that image out of their span
-    real_r_minus_hecke = heckeop.r_minus_hecke
+    real_hecke_images = heckeop.hecke_images
 
-    def off_span(ctx, m):
-        image = real_r_minus_hecke(ctx, m)
-        return image + BoundedPolynomial.monomial(2, bound=ctx.w) if ctx.n == 4 else image
+    def off_span(level, w, ns, m):
+        images = real_hecke_images(level, w, ns, m)
+        return [img + BoundedPolynomial.monomial(2, bound=w) if n == 4 else img for n, img in zip(ns, images)]
 
-    monkeypatch.setattr(heckeop, "r_minus_hecke", off_span)
+    monkeypatch.setattr(heckeop, "hecke_images", off_span)
     with pytest.raises(BasisDeficientError, match=r"T_2 image leaves the span .* level 2, w = 14"):
         hecke_computation(2, 14, 2)
+
+
+def test_one_sign_sum_pass_per_hecke_computation(monkeypatch):
+    # the divisor power sums are shared by every index: one sign_restricted_sum call per
+    # T_m, and inside it as many divisors() calls for all d indices as for one index
+    real_sign_sum, real_divisors = heckesum.sign_restricted_sum, heckesum.divisors
+    calls = Counter()
+
+    def counting_sign_sum(level, w, ns, m):
+        calls["sign_sum"] += 1
+        before = calls["divisors"]
+        result = real_sign_sum(level, w, ns, m)
+        calls["divisors_inside", len(ns)] = calls["divisors"] - before
+        return result
+
+    def counting_divisors(n):
+        calls["divisors"] += 1
+        return real_divisors(n)
+
+    monkeypatch.setattr(heckesum, "sign_restricted_sum", counting_sign_sum)
+    monkeypatch.setattr(heckesum, "divisors", counting_divisors)
+    comp = hecke_computation(3, 24, 100)
+    d = len(comp.basis_indices)
+    assert d > 1
+    assert calls["sign_sum"] == 1
+    heckesum.sign_restricted_sum(3, 24, [2], 100)
+    assert calls["divisors_inside", 1] == calls["divisors_inside", d] > 0

@@ -96,7 +96,7 @@ def test_s_poly_m_oddness_for_even_n():
 
 def test_level4_m8_decomposition():
     ctx = PeriodContext(4, 6, 2)
-    assert sign_restricted_sum(ctx, 8) == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1], bound=6)
+    assert sign_restricted_sum(ctx.level, ctx.w, [ctx.n], 8)[0] == -1024 * BoundedPolynomial([0, 1, 0, -2, 0, 1], bound=6)
     assert diagonal_sum(ctx, 8) == frac_poly((-256, 15), [0, -56, 0, 40, 0, 1], bound=6)
     assert moebius_correction(ctx, 8) == 256 * BoundedPolynomial([0, 0, 0, -4, 0, 3], bound=6)
     assert r_minus_hecke(ctx, 8) == frac_poly((-1024, 15), [0, 1, 0, -5, 0, 4], bound=6)
@@ -210,20 +210,21 @@ def _sign_restricted_sum_by_matrices(ctx, m):
 
 
 def test_sign_restricted_sum_matches_per_matrix_expansion():
-    # every n, odd n included (hecke-sum --raw reaches them); m = 210 and 240 have many
-    # s with gcd(s, m - s) > 1, e.g. s = 6, t = 204 at m = 210
-    def check(level, w, n, m):
-        ctx = PeriodContext(level, w, n)
-        assert sign_restricted_sum(ctx, m) == _sign_restricted_sum_by_matrices(ctx, m), (level, w, n, m)
+    # every n, odd n included (hecke-sum --raw reaches them), in one call per (level, w, m), so a
+    # power-sum table sized or indexed for one n fails; m = 210 and 240 have many s with
+    # gcd(s, m - s) > 1, e.g. s = 6, t = 204 at m = 210
+    def check(level, w, ns, m):
+        got = sign_restricted_sum(level, w, ns, m)
+        assert len(got) == len(ns)
+        for n, poly in zip(ns, got):
+            assert poly == _sign_restricted_sum_by_matrices(PeriodContext(level, w, n), m), (level, w, n, m)
 
     for level, prime in ((2, 13), (3, 11), (4, 7), (5, 17), (6, 5), (7, 19)):
         for m in (1, 2, level, level * level, prime, 210, 240):
             for w in (2, 4) if m > 200 else (2, 6, 12, 30):
-                for n in range(w + 1):
-                    check(level, w, n, m)
-    for n in (0, 1, 2, 15, 28, 29, 30):
-        check(5, 30, n, 240)
-        check(7, 30, n, 210)
+                check(level, w, range(w + 1), m)
+    check(5, 30, [0, 1, 2, 15, 28, 29, 30], 240)
+    check(7, 30, [0, 1, 2, 15, 28, 29, 30], 210)
 
 
 def test_pencil_recurrence_matches_binomial_convolution():

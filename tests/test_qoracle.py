@@ -95,6 +95,15 @@ def test_eisenstein_level1():
         eisenstein_level1(5, 4)
 
 
+def test_eisenstein_level1_sieve_matches_sigma():
+    # the sigma_{k-1} sieve against trial-division sigma (fraction_eisenstein, below)
+    for k in (2, 4, 12, 40):
+        for prec in (0, 1, 2, 12, 97, 300):
+            ek = eisenstein_level1(k, prec)
+            assert ek.coeffs == fraction_eisenstein(k, prec), (k, prec)
+            assert_reduced(ek)
+
+
 def test_eisenstein_gamma02_identities():
     prec = 30
     for k in range(4, 22, 2):
