@@ -56,6 +56,10 @@ MAX_ORACLE_WORK = 3_500_000
 MAX_SUM_WORK = 30_000
 # B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
 MAX_BERNOULLI = 1100
+# Bareiss on the n x n Bernoulli Hankel matrix grows like n^7: hankel --n 50 takes ~10 s, --n 60 took 30 s
+MAX_HANKEL_N = 50
+# verify --max-weight per bounded suite, each ~10 s at its ceiling (oracle --max-weight 200 ran past 60 s)
+MAX_VERIFY_WEIGHT = {"bases": 132, "theorem14": 92, "oracle": 90, "assembly": 100, "hecke-relations": 58}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,6 +175,8 @@ def _cmd_charpoly(args):
 
 
 def _cmd_hankel(args):
+    if args.n > MAX_HANKEL_N:
+        raise ValueError("hankel needs n <= %d, got n=%d" % (MAX_HANKEL_N, args.n))
     det, closed = hankel_bernoulli(args.which, args.n)
     _emit(
         {
@@ -248,6 +254,9 @@ def _cmd_oracle_matrix(args):
 
 
 def _cmd_verify(args):
+    cap = MAX_VERIFY_WEIGHT.get(args.suite)
+    if cap is not None and args.max_weight is not None and args.max_weight > cap:
+        raise ValueError("verify --suite %s needs --max-weight <= %d, got %d" % (args.suite, cap, args.max_weight))
     results = run_suite(args.suite, max_weight=args.max_weight)
     failures = 0
     for result in results:
@@ -307,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("hankel", help="Bernoulli Hankel determinant vs closed form")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="1 <= n <= %d" % MAX_HANKEL_N)
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("qexp", help="q-expansion of eta quotients / Eisenstein series")
@@ -324,15 +333,21 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max-weight", type=int, default=None)
+    caps = ", ".join("%s <= %d" % item for item in MAX_VERIFY_WEIGHT.items())
+    p.add_argument("--max-weight", type=int, default=None, help="bound of the suites that take one: " + caps)
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+_parser = None  # built on first use: parse_args leaves the parser unchanged
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         # exact results may run past the int/str digit limit; arguments were parsed under it
         with _int_str_digits(0):

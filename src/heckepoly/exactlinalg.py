@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the rationals, computed in integers.
 
-Each routine clears denominators (per row, or one common denominator for the
-whole matrix) and works on Python ints.  One fraction-free Bareiss
-elimination kernel serves determinants, rank, ``solve_right`` and, through
-``solve_right(M, I)``, inverses; characteristic polynomials use the
-division-free Berkowitz recursion.  Results are exact rationals.
+A matrix stores each column as integer numerators over that column's least
+positive denominator, the representation ``BoundedPolynomial`` and
+``QSeries`` use for one vector, so the polynomial and q-series columns the
+pipeline solves for enter the kernels without a ``Fraction`` round trip.
+One fraction-free Bareiss elimination kernel on the numerators serves
+determinants, rank, ``solve_right`` and, through ``solve_right(M, I)``,
+inverses; characteristic polynomials use the division-free Berkowitz
+recursion.  Results are exact rationals.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -17,13 +20,18 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactnum import bernoulli_number
-from .polyring import _as_fraction, clear_denominators
+from .polyring import _as_fraction
 
 
 class ExactMatrix:
-    """Dense matrix of Fractions (row-major)."""
+    """Dense rational matrix: entry (i, j) is num[i][j] / dens[j].
 
-    __slots__ = ("rows", "cols", "entries")
+    ``num`` holds the rows as ints and ``dens`` one positive denominator per
+    column, the least one for that column: ``gcd(dens[j], *column j) == 1``,
+    so a zero column has denominator 1 and equal matrices have equal fields.
+    """
+
+    __slots__ = ("rows", "cols", "num", "dens")
 
     def __init__(self, entries, cols=None):
         entries = [[_as_fraction(x) for x in row] for row in entries]
@@ -34,36 +42,70 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         else:
             cols = cols or 0
+        # the lcm of a column's reduced denominators is its least common one
+        self.dens = [lcm(*(row[j].denominator for row in entries)) for j in range(cols)]
+        self.num = [[x.numerator * (d // x.denominator) for x, d in zip(row, self.dens)] for row in entries]
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+
+    @classmethod
+    def _over(cls, num, dens):
+        """Matrix num[i][j] / dens[j] (int rows, nonzero dens), each column reduced to lowest terms."""
+        columns = list(zip(*num)) if num else [()] * len(dens)
+        # gcd is nonnegative: dividing by it with the sign of den makes every den positive
+        scales = [gcd(d, *col) * (1 if d > 0 else -1) for d, col in zip(dens, columns)]
+        if any(g != 1 for g in scales):
+            num = [[x // g for x, g in zip(row, scales)] for row in num]
+            dens = [d // g for d, g in zip(dens, scales)]
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.num, mat.dens = len(num), len(dens), num, dens
+        return mat
+
+    @classmethod
+    def from_columns(cls, columns, dens):
+        """Matrix whose column j is the ints columns[j] over dens[j]; columns share one length."""
+        return cls._over([list(row) for row in zip(*columns)], list(dens))
 
     @classmethod
     def identity(cls, n):
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls._over([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls._over([[0] * cols for _ in range(rows)], [1] * cols)
+
+    @property
+    def entries(self):
+        """Rows of Fractions in lowest terms (a fresh copy)."""
+        return [[Fraction(x, d) for x, d in zip(row, self.dens)] for row in self.num]
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.dens[j])
 
     def is_square(self):
         return self.rows == self.cols
 
+    def _common(self):
+        """Rows of ints over one common denominator L, the lcm of the column denominators; returns (rows, L)."""
+        den = lcm(*self.dens)
+        scales = [den // d for d in self.dens]
+        return [list(map(mul, row, scales)) for row in self.num], den
+
     def transpose(self):
-        return ExactMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)], cols=self.rows)
+        # a row of self is not over one denominator, so put the whole matrix over L first
+        rows, den = self._common()
+        return ExactMatrix._over([list(col) for col in zip(*rows)], [den] * self.rows)
 
     def trace(self):
         if not self.is_square():
             raise ValueError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return sum((Fraction(self.num[i][i], self.dens[i]) for i in range(self.rows)), Fraction(0))
 
     def is_symmetric(self):
+        num, dens = self.num, self.dens
         return self.is_square() and all(
-            self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
+            num[i][j] * dens[i] == num[j][i] * dens[j] for i in range(self.rows) for j in range(i)
         )
 
     def __add__(self, other):
@@ -71,31 +113,36 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)], cols=self.cols
+        dens = [lcm(a, b) for a, b in zip(self.dens, other.dens)]
+        u = [d // a for d, a in zip(dens, self.dens)]
+        v = [d // b for d, b in zip(dens, other.dens)]
+        return ExactMatrix._over(
+            [[p * x + q * y for p, x, q, y in zip(u, r1, v, r2)] for r1, r2 in zip(self.num, other.num)], dens
         )
+
+    def __neg__(self):
+        return ExactMatrix._over([[-x for x in row] for row in self.num], self.dens)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)], cols=self.cols
-        )
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch: %dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-            tcols = other.transpose().entries
-            return ExactMatrix(
-                [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in tcols] for row in self.entries],
-                cols=other.cols,
+            # (A B)[i, k] = sum_j (L A)[i, j] num_B[j, k] / (L dens_B[k]), L A integral
+            rows, den = self._common()
+            tcols = list(zip(*other.num)) or [()] * other.cols
+            return ExactMatrix._over(
+                [[sum(map(mul, row, col)) for col in tcols] for row in rows], [den * d for d in other.dens]
             )
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return ExactMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
+            return ExactMatrix._over(
+                [[c.numerator * x for x in row] for row in self.num], [c.denominator * d for d in self.dens]
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -106,7 +153,8 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        # the canonical form makes (num, dens) unique
+        return (self.rows, self.cols, self.dens, self.num) == (other.rows, other.cols, other.dens, other.num)
 
     def __repr__(self):
         return "ExactMatrix(%r)" % [[str(x) for x in row] for row in self.entries]
@@ -149,23 +197,17 @@ def _bareiss(work, pivot_cols):
 
 
 def determinant(mat):
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant by Bareiss fraction-free elimination: det(num) / prod(dens)."""
     if not mat.is_square():
         raise ValueError("determinant needs a square matrix")
     n = mat.rows
     if n == 0:
         return Fraction(1)
-    # clear denominators row by row; det scales by the product of the row scales
-    work = []
-    scale = 1
-    for row in mat.entries:
-        ints, den = clear_denominators(row)
-        scale *= den
-        work.append(ints)
+    work = [row[:] for row in mat.num]
     pivots, sign = _bareiss(work, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    return Fraction(sign * work[n - 1][n - 1], prod(mat.dens))
 
 
 def mat_inverse(mat):
@@ -184,25 +226,29 @@ def mat_inverse(mat):
 
 
 def rank(mat):
-    """Exact rank by fraction-free elimination."""
-    pivots, _ = _bareiss([clear_denominators(row)[0] for row in mat.entries], mat.cols)
+    """Exact rank by fraction-free elimination of the numerators (column scaling keeps the rank)."""
+    pivots, _ = _bareiss([row[:] for row in mat.num], mat.cols)
     return len(pivots)
 
 
 def solve_right(a, b):
     """Solve A X = B exactly for the unique X; A may have more rows than columns.
 
-    Each row of [A|B] is cleared to integers and eliminated fraction-free.
-    With D the last pivot (the determinant of the d pivot rows of A), D X is
-    integral by Cramer's rule, so back substitution divides exactly.
+    With A = num_A diag(1/dens_A) and B = num_B diag(1/dens_B), X is
+    diag(dens_A) Y diag(1/dens_B) for the solution Y of the integer system
+    num_A Y = num_B.  The rows of [num_A | num_B] that are not all zero are
+    eliminated fraction-free; with D the last pivot (the determinant of the d
+    pivot rows of num_A), D Y is integral by Cramer's rule, so back
+    substitution divides exactly, and column j of X is dens_A * (D Y)[:, j]
+    over D dens_B[j].
 
     Raises UnderdeterminedSystemError (carrying the rank of A) when the
     solution is not unique and InconsistentSystemError when there is none.
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    d, t = a.cols, b.cols
-    work = [clear_denominators(ra + rb)[0] for ra, rb in zip(a.entries, b.entries)]
+    d = a.cols
+    work = [row for row in (ra + rb for ra, rb in zip(a.num, b.num)) if any(row)]
     pivots, _ = _bareiss(work, d)
     if len(pivots) < d:
         raise UnderdeterminedSystemError("system rank %d < %d unknowns" % (len(pivots), d), rank=len(pivots))
@@ -219,20 +265,22 @@ def solve_right(a, b):
                 acc = [s - u * v for s, v in zip(acc, x[j])]
         p = row[k]
         x[k] = [s // p for s in acc]
-    return ExactMatrix([[Fraction(v, det) for v in row] for row in x], cols=t)
+    return ExactMatrix._over(
+        [[scale * v for v in row] for scale, row in zip(a.dens, x)], [det * den for den in b.dens]
+    )
 
 
 def charpoly(mat):
     """Characteristic polynomial det(xI - M), monic, coefficients ascending.
 
     Division-free Berkowitz recursion (Berkowitz 1984) on the integer matrix
-    L M, L the common denominator of M; then c_k(M) = c_k(L M) / L^(n-k).
+    L M = num diag(L / dens), L the lcm of the column denominators; then
+    c_k(M) = c_k(L M) / L^(n-k).
     """
     if not mat.is_square():
         raise ValueError("charpoly needs a square matrix")
     n = mat.rows
-    flat, scale = clear_denominators([x for row in mat.entries for x in row])
-    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    m, scale = mat._common()
     # descending coefficients of the charpoly of the trailing block m[r:, r:]
     vec = [1]
     for r in range(n - 1, -1, -1):

@@ -112,8 +112,8 @@ def hecke_computation(level, w, m):
     base = [s_poly(PeriodContext(level, w, n)) for n in indices]
     images = hecke_images(level, w, indices, m)
     try:
-        # column k of B (of C) is the coefficient vector of base[k] (of image[k])
-        b, c = (ExactMatrix(list(zip(*(p.coeffs for p in polys)))) for polys in (base, images))
+        # column k of B (of C) is the coefficient vector of base[k] (of image[k]), over its denominator
+        b, c = (ExactMatrix.from_columns([p.num for p in polys], [p.den for p in polys]) for polys in (base, images))
         t = solve_right(b, c)
     except UnderdeterminedSystemError as exc:
         raise BasisDeficientError(

@@ -294,7 +294,10 @@ def default_precision(k, m=1):
 
 
 def _coefficient_matrix(series, nrows):
-    return ExactMatrix([[f.coeff(r) for f in series] for r in range(1, nrows + 1)], cols=len(series))
+    """Coefficients 1 .. nrows of each series as one column over the series' denominator."""
+    for f in series:
+        f.coeff(nrows)  # raises PrecisionError past the precision
+    return ExactMatrix.from_columns([f.num[1 : nrows + 1] for f in series], [f.den for f in series])
 
 
 def hecke_matrix_oracle(k, m, prec=None):

@@ -1,6 +1,7 @@
 """Rendering of exact values: reduced rational strings, JSON shapes, text, LaTeX."""
 
 from fractions import Fraction
+from math import gcd
 
 
 def fraction_str(x):
@@ -65,8 +66,14 @@ def poly_latex(poly):
     return _latex(poly.coeffs, "X")
 
 
+def _ratio_str(x, den):
+    """fraction_str(Fraction(x, den)) for den > 0, reduced without building the Fraction."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
+
+
 def matrix_json(mat):
-    return [[fraction_str(x) for x in row] for row in mat.entries]
+    return [[_ratio_str(x, den) for x, den in zip(row, mat.dens)] for row in mat.num]
 
 
 def matrix_text(mat):

@@ -10,14 +10,17 @@ from heckepoly.cli import (
     MAX_BERNOULLI,
     MAX_DIM,
     MAX_ETA_EXPONENTS,
+    MAX_HANKEL_N,
     MAX_HECKE_M,
     MAX_LIST_M,
     MAX_ORACLE_WORK,
     MAX_PREC,
     MAX_SUM_M,
     MAX_SUM_WORK,
+    MAX_VERIFY_WEIGHT,
     main,
 )
+from heckepoly.verify import _BOUNDED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -386,3 +389,50 @@ def test_hecke_sum_work_cap(capsys):
     with pytest.raises(SystemExit):
         main(["hecke-sum", "--help"])
     assert "m (w + 1) <= %d" % MAX_SUM_WORK in " ".join(capsys.readouterr().out.split())
+
+
+def test_hankel_size_cap(capsys):
+    # refused before the determinant is formed; n = 1 sits far under the cap
+    for which in ("1", "2", "3"):
+        _assert_precondition(
+            capsys,
+            ("hankel", "--which", which, "--n", str(MAX_HANKEL_N + 1)),
+            "hankel needs n <= %d, got n=%d" % (MAX_HANKEL_N, MAX_HANKEL_N + 1),
+        )
+    with pytest.raises(SystemExit):
+        main(["hankel", "--help"])
+    assert "n <= %d" % MAX_HANKEL_N in capsys.readouterr().out
+
+
+def test_verify_weight_ceilings(capsys):
+    # every suite that takes --max-weight has a ceiling, and only those suites
+    assert set(MAX_VERIFY_WEIGHT) == _BOUNDED
+    for suite, cap in MAX_VERIFY_WEIGHT.items():
+        _assert_precondition(
+            capsys,
+            ("verify", "--suite", suite, "--max-weight", str(cap + 1)),
+            "verify --suite %s needs --max-weight <= %d, got %d" % (suite, cap, cap + 1),
+        )
+    # a ceiling bounds the suite's own weight only: an unbounded suite ignores the flag, as before
+    status, out, _ = run_cli(capsys, "verify", "--suite", "hankel", "--max-weight", "1000")
+    assert status == 0
+    assert out.strip().splitlines()[-1] == "suite hankel: 24/24 checks passed"
+    status, out, _ = run_cli(capsys, "verify", "--suite", "theorem14", "--max-weight", "12")
+    assert status == 0
+    assert out.strip().splitlines()[-1] == "suite theorem14: 3/3 checks passed"
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "oracle <= %d" % MAX_VERIFY_WEIGHT["oracle"] in " ".join(capsys.readouterr().out.split())
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    import heckepoly.cli as cli
+
+    assert run_cli(capsys, "bernoulli", "--n", "4")[:2] == (0, "-1/30\n")
+    built = cli._parser
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run_cli(capsys, "bernoulli", "--n", "6")[:2] == (0, "1/42\n")
+    assert cli._parser is built
+    monkeypatch.undo()
+    # a fresh parser renders the same help as the reused one
+    assert cli.build_parser().format_help() == built.format_help()

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -312,3 +312,146 @@ def test_charpoly_matches_faddeev_leverrier():
         cp = charpoly(ExactMatrix(rows))
         assert cp == _faddeev_leverrier(rows)
         assert all(isinstance(c, Fraction) for c in cp)
+
+
+# The integer-column representation against a Fraction-list model: every
+# operation must give the model's values and leave the canonical form.
+
+
+def _assert_canonical(m):
+    assert len(m.num) == m.rows and len(m.dens) == m.cols
+    assert all(len(row) == m.cols and all(type(x) is int for x in row) for row in m.num)
+    for j, den in enumerate(m.dens):
+        assert type(den) is int and den > 0
+        # lowest terms; a zero column has gcd(den) == den, so den == 1
+        assert gcd(den, *(row[j] for row in m.num)) == 1
+
+
+def _checked(m, model):
+    _assert_canonical(m)
+    assert m.entries == model
+    return m
+
+
+def _model_charpoly(rows):
+    """Faddeev-LeVerrier on Fraction lists, independent of ExactMatrix."""
+    n = len(rows)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m_k = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m_k = [[sum((rows[i][t] * m_k[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+        c = -sum((m_k[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            m_k[i][i] += c
+    return coeffs
+
+
+def _model_entry(rng):
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.5:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 6, 9, 10, 35, 2**40 + 15]))
+
+
+def _model_rows(rng, rows, cols):
+    out = [[_model_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for j in range(cols):
+        if rng.random() < 0.15:  # whole zero columns, and columns with one shared factor
+            scale = rng.choice([0, Fraction(1, 6)])
+            for row in out:
+                row[j] = scale * row[j]
+    return [[Fraction(x) for x in row] for row in out]
+
+
+def test_representation_matches_fraction_model():
+    rng = random.Random(606)
+    squares = 0
+    for case in range(150):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        if case % 3 == 0:
+            c = r
+        rows = _model_rows(rng, r, c)
+        m = _checked(ExactMatrix(rows, cols=c), rows)
+        assert (m.rows, m.cols) == (r, c)
+        assert all(m[i, j] == rows[i][j] and type(m[i, j]) is Fraction for i in range(r) for j in range(c))
+        assert m == ExactMatrix(rows, cols=c)
+        _checked(m.transpose(), [list(col) for col in zip(*rows)] if r else [])
+        other_rows = _model_rows(rng, r, c)
+        other = ExactMatrix(other_rows, cols=c)
+        _checked(m + other, [[x + y for x, y in zip(u, v)] for u, v in zip(rows, other_rows)])
+        _checked(m - other, [[x - y for x, y in zip(u, v)] for u, v in zip(rows, other_rows)])
+        _checked(-m, [[-x for x in row] for row in rows])
+        assert (m == other) == (rows == other_rows)
+        for scalar in (rng.randint(-5, 5), Fraction(rng.randint(-7, 7), rng.randint(1, 12)), 0):
+            _checked(m * scalar, [[scalar * x for x in row] for row in rows])
+            _checked(scalar * m, [[scalar * x for x in row] for row in rows])
+        k = rng.randint(0, 4)
+        right_rows = _model_rows(rng, c, k)
+        product = m * ExactMatrix(right_rows, cols=k)
+        expected = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*right_rows)] for row in rows]
+        _checked(product, expected if c else [[Fraction(0)] * k for _ in rows])
+        if r != c:
+            continue
+        squares += 1
+        n = r
+        assert m.trace() == sum((rows[i][i] for i in range(n)), Fraction(0))
+        sym = m + m.transpose()
+        assert sym.is_symmetric()
+        assert m.is_symmetric() == all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
+        _checked(ExactMatrix.identity(n), [[Fraction(i == j) for j in range(n)] for i in range(n)])
+        _checked(ExactMatrix.zeros(n, k), [[Fraction(0)] * k for _ in range(n)])
+        det = determinant(m)
+        assert det == _cofactor_det(rows)
+        assert rank(m) == len(_gauss_jordan(rows, [[]] * n)[1])
+        assert charpoly(m) == _model_charpoly(rows)
+        aug, _ = _gauss_jordan(rows, [[Fraction(i == j) for j in range(n)] for i in range(n)])
+        if det:
+            _checked(mat_inverse(m), [row[n:] for row in aug])
+        else:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+        b_rows = _model_rows(rng, n, rng.randint(1, 3))
+        aug, _ = _gauss_jordan(rows, b_rows)
+        if det:
+            _checked(solve_right(m, ExactMatrix(b_rows)), [row[n:] for row in aug])
+    assert squares >= 50
+
+
+def test_from_columns_reduces_every_column():
+    m = ExactMatrix.from_columns([[4, -6, 0], [0, 0, 0], [3, 5, 7], [-2, 4, 8]], [-8, 5, 1, 6])
+    _checked(
+        m,
+        [
+            [Fraction(-1, 2), 0, 3, Fraction(-1, 3)],
+            [Fraction(3, 4), 0, 5, Fraction(2, 3)],
+            [0, 0, 7, Fraction(4, 3)],
+        ],
+    )
+    assert m.dens == [4, 1, 1, 3]
+
+
+def test_solve_right_ignores_zero_rows():
+    a = ExactMatrix([[0, 0], [1, 2], [0, 0], [Fraction(1, 3), 0], [0, 0]])
+    b = ExactMatrix([[0], [5], [0], [Fraction(1, 3)], [0]])
+    x = _checked(solve_right(a, b), [[Fraction(1)], [Fraction(2)]])
+    assert a * x == b
+    # zero rows leave too few equations: the rank is that of the nonzero rows
+    with pytest.raises(UnderdeterminedSystemError) as info:
+        solve_right(ExactMatrix([[0, 0], [1, 1], [0, 0]]), ExactMatrix([[0], [3], [0]]))
+    assert info.value.rank == 1
+    # a zero row of A against a nonzero entry of B is no equation to drop: 0 = 1
+    with pytest.raises(InconsistentSystemError):
+        solve_right(a, ExactMatrix([[0], [5], [1], [Fraction(1, 3)], [0]]))
+    with pytest.raises(InconsistentSystemError):
+        solve_right(ExactMatrix([[0], [2]]), ExactMatrix([[Fraction(-1, 7)], [4]]))
+
+
+def test_solve_right_scales_by_both_denominators():
+    # A's columns and B's columns carry different denominators; X = diag(dens_A) Y diag(1 / dens_B)
+    a = ExactMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)]])
+    b = ExactMatrix([[Fraction(1, 5), Fraction(2, 7)], [Fraction(-1, 5), Fraction(1, 7)], [0, Fraction(3, 7)]])
+    x = _checked(solve_right(a, b), [[Fraction(2, 5), Fraction(4, 7)], [Fraction(-3, 5), Fraction(3, 7)]])
+    assert a * x == b
