@@ -44,9 +44,9 @@ MAX_LIST_M = 1000
 MAX_SUM_M = 10**5
 # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 and oracle-matrix --weight 40 take ~10 s
 MAX_PREC = 2000
-# solve plus charpoly grow steeply in the dimension d: ~10 s at level 5, w = 80 (d = 39), m = 12
+# solve plus charpoly grow steeply in the dimension d: ~6.5 s at level 5, w = 80 (d = 39), m = 12
 MAX_DIM = 40
-# m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 10 to 26 s
+# m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 6 to 18 s
 MAX_HECKE_M = 256
 # qexp eta: makes one convolution per unit of sum |r| and one inversion: eta:1^-299,299^1 takes ~10 s at prec 2000
 MAX_ETA_EXPONENTS = 300

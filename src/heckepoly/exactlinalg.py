@@ -6,8 +6,10 @@ positive denominator, the representation ``BoundedPolynomial`` and
 pipeline solves for enter the kernels without a ``Fraction`` round trip.
 One fraction-free Bareiss elimination kernel on the numerators serves
 determinants, rank, ``solve_right`` and, through ``solve_right(M, I)``,
-inverses; characteristic polynomials use the division-free Berkowitz
-recursion.  Results are exact rationals.
+inverses; ``solve_right`` eliminates only as many rows as it has unknowns
+and checks the surplus rows of a tall system by one exact product.
+Characteristic polynomials use the division-free Berkowitz recursion.
+Results are exact rationals.
 """
 
 from fractions import Fraction
@@ -236,11 +238,14 @@ def solve_right(a, b):
 
     With A = num_A diag(1/dens_A) and B = num_B diag(1/dens_B), X is
     diag(dens_A) Y diag(1/dens_B) for the solution Y of the integer system
-    num_A Y = num_B.  The rows of [num_A | num_B] that are not all zero are
-    eliminated fraction-free; with D the last pivot (the determinant of the d
-    pivot rows of num_A), D Y is integral by Cramer's rule, so back
-    substitution divides exactly, and column j of X is dens_A * (D Y)[:, j]
-    over D dens_B[j].
+    num_A Y = num_B.  Only the first d rows of [num_A | num_B] that are not
+    all zero are eliminated fraction-free; with D the last pivot (the
+    determinant of the A-part of those rows), D Y is integral by Cramer's
+    rule, so back substitution divides exactly, and column j of X is
+    dens_A * (D Y)[:, j] over D dens_B[j].  Every later row is then checked
+    by one integer product, A_row (D Y) == D B_row.  Only when the first d
+    rows are dependent are all rows eliminated, so a rank deficit is that of
+    the whole of A.
 
     Raises UnderdeterminedSystemError (carrying the rank of A) when the
     solution is not unique and InconsistentSystemError when there is none.
@@ -248,12 +253,14 @@ def solve_right(a, b):
     if a.rows != b.rows:
         raise ValueError("row mismatch")
     d = a.cols
-    work = [row for row in (ra + rb for ra, rb in zip(a.num, b.num)) if any(row)]
+    rows = [row for row in (ra + rb for ra, rb in zip(a.num, b.num)) if any(row)]
+    work, rest = [row[:] for row in rows[:d]], rows[d:]
     pivots, _ = _bareiss(work, d)
     if len(pivots) < d:
-        raise UnderdeterminedSystemError("system rank %d < %d unknowns" % (len(pivots), d), rank=len(pivots))
-    if any(any(row[d:]) for row in work[d:]):
-        raise InconsistentSystemError("system has no exact solution")
+        work, rest = [row[:] for row in rows], rows
+        pivots, _ = _bareiss(work, d)
+        if len(pivots) < d:
+            raise UnderdeterminedSystemError("system rank %d < %d unknowns" % (len(pivots), d), rank=len(pivots))
     det = work[d - 1][d - 1] if d else 1
     x = [None] * d
     for k in range(d - 1, -1, -1):
@@ -265,6 +272,9 @@ def solve_right(a, b):
                 acc = [s - u * v for s, v in zip(acc, x[j])]
         p = row[k]
         x[k] = [s // p for s in acc]
+    cols = list(zip(*x)) if d else [()] * b.cols
+    if any([sum(map(mul, row, col)) for col in cols] != [det * y for y in row[d:]] for row in rest):
+        raise InconsistentSystemError("system has no exact solution")
     return ExactMatrix._over(
         [[scale * v for v in row] for scale, row in zip(a.dens, x)], [det * den for den in b.dens]
     )

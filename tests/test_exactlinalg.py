@@ -4,6 +4,7 @@ from math import factorial, gcd
 
 import pytest
 
+from heckepoly import exactlinalg
 from heckepoly.errors import (
     InconsistentSystemError,
     SingularMatrixError,
@@ -211,9 +212,10 @@ def _combinations(rng, basis, count):
 def test_solve_right_matches_gauss_jordan_square_and_tall():
     rng = random.Random(101)
     checked = 0
-    for _ in range(60):
+    for _ in range(80):
         d = rng.randint(1, 6)
-        n = d + rng.choice([0, 0, 1, 3])
+        # up to 3d + 2 rows: level-2 coefficient systems have about 2d
+        n = d + rng.choice([0, 0, 1, 3, d, 2 * d + 2])
         t = rng.randint(1, 4)
         a_rows = _random_rows(rng, n, d)
         if n > d:
@@ -228,7 +230,7 @@ def test_solve_right_matches_gauss_jordan_square_and_tall():
         expected = ExactMatrix([row[d:] for row in aug[:d]], cols=t)
         assert solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows)) == expected
         checked += 1
-    assert checked >= 40
+    assert checked >= 60
 
 
 def test_solve_right_zero_leading_pivot():
@@ -273,6 +275,75 @@ def test_solve_right_error_kinds_match_oracle():
             solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows))
         seen["inconsistent"] += 1
     assert seen["under"] == 60 and seen["inconsistent"] >= 40
+
+
+def _counting_bareiss(monkeypatch):
+    """Record the row count of every _bareiss call solve_right makes."""
+    real, calls = exactlinalg._bareiss, []
+
+    def counting(work, pivot_cols):
+        calls.append(len(work))
+        return real(work, pivot_cols)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss", counting)
+    return calls
+
+
+def test_solve_right_dependent_first_rows_fall_back(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(30):
+        d = rng.randint(2, 5)
+        # the first d rows span less than d dimensions, the later ones complete the rank
+        head = _combinations(rng, _random_rows(rng, rng.randint(1, d - 1), d), d)
+        if not all(any(row) for row in head):
+            continue
+        a_rows = head + [[0] * d] + _random_rows(rng, d + 1, d)
+        x0 = ExactMatrix(_random_rows(rng, d, 2))
+        b_rows = (ExactMatrix(a_rows) * x0).entries
+        aug, pivots = _gauss_jordan(a_rows, b_rows)
+        assert len(pivots) == d
+        calls.clear()
+        assert solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows)) == ExactMatrix([row[d:] for row in aug[:d]])
+        # the zero row is dropped; the fallback eliminates every other row
+        assert calls == [d, 2 * d + 1]
+        checked += 1
+    assert checked >= 15
+
+
+def test_solve_right_rank_is_that_of_all_rows():
+    # the first three rows have rank 1, all five rank 2
+    a = ExactMatrix([[1, 1, 0], [2, 2, 0], [3, 3, 0], [0, 0, 0], [0, 0, 5]])
+    with pytest.raises(UnderdeterminedSystemError) as info:
+        solve_right(a, ExactMatrix([[1], [2], [3], [0], [5]]))
+    assert info.value.rank == 2
+
+
+def test_solve_right_checks_rows_after_the_first_d(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    rng = random.Random(707)
+    checked = 0
+    for _ in range(30):
+        d = rng.randint(1, 5)
+        a_rows = _random_rows(rng, 3 * d + 2, d)
+        if len(_gauss_jordan(a_rows[:d], [[]] * d)[1]) < d:
+            continue
+        b = ExactMatrix(a_rows) * ExactMatrix(_random_rows(rng, d, 3))
+        calls.clear()
+        assert ExactMatrix(a_rows) * solve_right(ExactMatrix(a_rows), b) == b
+        assert calls == [d]
+        # one entry of one later row off by a little: only the product check sees it
+        b_rows = b.entries
+        b_rows[rng.randint(d, 3 * d + 1)][rng.randint(0, 2)] += Fraction(1, 7)
+        with pytest.raises(InconsistentSystemError):
+            solve_right(ExactMatrix(a_rows), ExactMatrix(b_rows))
+        checked += 1
+    assert checked >= 25
+    # no unknowns: any nonzero right side is inconsistent, a zero one is solved by the empty matrix
+    with pytest.raises(InconsistentSystemError):
+        solve_right(ExactMatrix([[], []]), ExactMatrix([[0], [1]]))
+    assert solve_right(ExactMatrix([[], []]), ExactMatrix.zeros(2, 1)) == ExactMatrix([], cols=1)
 
 
 def test_rank_matches_gauss_jordan():

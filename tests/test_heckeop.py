@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import pytest
 
-from heckepoly import heckeop, heckesum
+from heckepoly import exactlinalg, heckeop, heckesum
 from heckepoly.errors import BasisDeficientError, EmptySpaceError, LevelError
 from heckepoly.exactlinalg import ExactMatrix, determinant, mat_inverse
 from heckepoly.exactnum import bernoulli_number
@@ -212,6 +212,28 @@ def test_image_outside_span_is_basis_deficient(monkeypatch):
     monkeypatch.setattr(heckeop, "hecke_images", off_span)
     with pytest.raises(BasisDeficientError, match=r"T_2 image leaves the span .* level 2, w = 14"):
         hecke_computation(2, 14, 2)
+
+
+def test_image_outside_span_in_a_late_row_is_basis_deficient(monkeypatch):
+    # the base polynomials are odd, so X^12 on one image adds a row past the
+    # first d = 3 nonzero ones (X^1, X^3, X^5): those still give d pivots, and
+    # only the product check of the later rows sees the term
+    real_hecke_images, real_bareiss = heckeop.hecke_images, exactlinalg._bareiss
+    eliminated = []
+
+    def off_span(level, w, ns, m):
+        images = real_hecke_images(level, w, ns, m)
+        return [img + BoundedPolynomial.monomial(12, bound=w) if n == 4 else img for n, img in zip(ns, images)]
+
+    def counting(work, pivot_cols):
+        eliminated.append(len(work))
+        return real_bareiss(work, pivot_cols)
+
+    monkeypatch.setattr(heckeop, "hecke_images", off_span)
+    monkeypatch.setattr(exactlinalg, "_bareiss", counting)
+    with pytest.raises(BasisDeficientError, match=r"T_2 image leaves the span .* level 2, w = 14"):
+        hecke_computation(2, 14, 2)
+    assert eliminated == [3]
 
 
 def test_one_sign_sum_pass_per_hecke_computation(monkeypatch):
