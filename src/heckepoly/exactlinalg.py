@@ -147,10 +147,7 @@ class ExactMatrix:
             )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

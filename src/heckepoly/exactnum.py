@@ -1,8 +1,8 @@
 """Exact number-theoretic primitives.
 
-Bernoulli numbers (convention B_1 = -1/2), weighted integer power sums and,
-built on them, scaled sums of the even-index-only Bernoulli polynomials
-B^0_k, divisor power sums, the Moebius function, and one trial-division
+Bernoulli numbers (convention B_1 = -1/2), scaled sums of the even-index-only
+Bernoulli polynomials B^0_k built on weighted integer power sums, divisor
+power sums, the Moebius function, and one trial-division
 factorization behind the prime-divisor helpers.  Everything is exact;
 nothing here ever rounds.
 """
@@ -51,12 +51,6 @@ def bernoulli_or_zero(k):
     return bernoulli_number(k)
 
 
-def power_sums(terms, top):
-    """[sum of c*a^e over the integer pairs (c, a) in terms, for e = 0..top]."""
-    rows = [accumulate(repeat(a, top), mul, initial=c) for c, a in terms]
-    return list(map(sum, zip(*rows))) if rows else [0] * (top + 1)
-
-
 def bernoulli_poly0(k, terms=((1, 1),)):
     """Sum of c*B^0_k(aX) over the integer pairs (c, a) in terms; B^0_k itself by default.
 
@@ -69,7 +63,8 @@ def bernoulli_poly0(k, terms=((1, 1),)):
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    sums = power_sums(terms, k)
+    rows = [accumulate(repeat(a, k), mul, initial=c) for c, a in terms]  # c*a^e, e = 0..k
+    sums = list(map(sum, zip(*rows))) if rows else [0] * (k + 1)
     evens = range(0, k + 1, 2)
     bs = [bernoulli_number(i) for i in evens]
     den = lcm(*(b.denominator for b in bs))

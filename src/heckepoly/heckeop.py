@@ -8,6 +8,7 @@ experimental mode where a failed basis is surfaced, never patched.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     BasisDeficientError,
@@ -19,7 +20,7 @@ from .errors import (
 from .exactlinalg import ExactMatrix, charpoly, solve_right
 from .heckesum import hecke_images
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
-from .polyring import coeff_inner_product
+from .polyring import coeff_dot
 
 # (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
 # dim S_k = 1 - k + nu2 [k/4] + nu3 [k/3] + cusps (k/2 - 1) (Diamond-Shurman, Thm 3.5.1)
@@ -124,12 +125,14 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
-    s1 = [[None] * d for _ in range(d)]
-    for i in range(d):  # S1 is symmetric: pair the upper triangle and mirror it
-        for j in range(i, d):
-            s1[i][j] = s1[j][i] = coeff_inner_product(base[i], base[j])
-    s2 = ExactMatrix([[coeff_inner_product(bi, img) for img in images] for bi in base])
-    return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=ExactMatrix(s1), s2=s2, t=t)
+    upper = [[coeff_dot(base[i], base[j]) for i in range(j + 1)] for j in range(d)]  # S1 is symmetric: pair i <= j
+    dots = [[upper[max(i, j)][min(i, j)] for i in range(d)] for j in range(d)]
+    dots += [[coeff_dot(bi, img) for bi in base] for img in images]
+    lcm_base = lcm(*(p.den for p in base))  # S[i, j] = dot / (den_i den_j): column j goes over lcm_base den_j
+    columns = [[x * (lcm_base // bi.den) for x, bi in zip(col, base)] for col in dots]
+    dens = [lcm_base * p.den for p in base + images]
+    s1, s2 = ExactMatrix.from_columns(columns[:d], dens[:d]), ExactMatrix.from_columns(columns[d:], dens[d:])
+    return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
 
 
 def hecke_matrix(level, w, m):

@@ -19,18 +19,19 @@ doubled.  Summed over the divisor pairs of s and t, each coefficient is one
 (of t), and that power divides the product exactly because the product is
 the integer sum of the per-matrix coefficients.
 
-The divisor power sums depend on (N, m, s) and never on the period index n,
-so ``sign_restricted_sum`` takes a list of indices and builds them once per s
-for all of them; ``hecke_images`` returns the corrected images of a whole
-period basis from that one pass.
+Every power is read from one table x^0..x^w, x < m, and the divisor power
+sums never depend on n, so ``sign_restricted_sum`` serves a list of indices
+from one pass; ``hecke_images`` corrects the images of a whole period basis.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
+from .exactnum import bernoulli_poly0, divisors, moebius, sigma
 from .periodpoly import PeriodContext, _require_interior
 from .polyring import BoundedPolynomial, reciprocal_scale
 
@@ -73,14 +74,17 @@ def _pencil(n, nt, s, t):
 
     From (1+X)(s-tX)P' = (n(s-tX) - nt*t(1+X))P:
     s(k+1)P_{k+1} = (ns - nt*t - (s-t)k)P_k + t(k-1-w)P_{k-1}, w = n + nt,
-    where every division is exact because P has integer coefficients.
+    where every division is exact because P has integer coefficients.  The three
+    multipliers are progressions in k, read from ranges (repeat for step 0).
     """
-    w = n + nt
-    coeffs, prev = [s**nt], 0
-    for k in range(w):
-        cur = coeffs[k]
-        coeffs.append(((n * s - nt * t - (s - t) * k) * cur + t * (k - 1 - w) * prev) // (s * (k + 1)))
-        prev = cur
+    w, u0 = n + nt, n * s - nt * t
+    us = range(u0, u0 + (t - s) * w, t - s) if s != t else repeat(u0, w)
+    vs = range(-t * (w + 1), -t, t) if t else repeat(0, w)
+    coeffs = [s**nt]
+    prev, cur = 0, coeffs[0]
+    for u, v, q in zip(us, vs, range(s, s * (w + 1), s)):
+        prev, cur = cur, (u * cur + v * prev) // q
+        coeffs.append(cur)
     return coeffs
 
 
@@ -97,24 +101,26 @@ def sign_restricted_sum(level, w, ns, m):
     with P = (1+X)^n (s - tX)^nt (see the module docstring).  For k < nt the
     a-sum is (sum of d^(nt-k)) / s^(nt-k) and for k > n the b-sum is
     (sum of c^(k-n)) / t^(k-n); the product is divided once, exactly.
-    N | c forces N | t, so only s = m mod N contribute.  The divisor power
-    sums depend on (level, m, s) alone, so one pass over s builds them once,
-    to exponent w, and serves every index; only the pencil is per n.
+    N | c forces N | t, so only s = m mod N contribute.  The powers x^e,
+    x < m, e <= w, are tabulated once per call (m (w + 1) integers); per s
+    the four power sums are sums of table rows and s^e, t^e are table rows,
+    shared by every index; only the pencil is per n.
     Returns one integer-coefficient polynomial per n, in the order of ns.
     """
     ns = list(ns)
     for n in ns:
         PeriodContext(level, w, n)  # checks level >= 2, w even and 0 <= n <= w
     accs = [[0] * (w + 1) for _ in ns]
+    powers = [list(accumulate(repeat(x, w), mul, initial=1)) for x in range(m)]  # powers[x][e] = x^e
     for s in range(m % level or level, m, level):
         t = m - s
         avals = [a for a in divisors(s) if gcd(a, level) == 1]
-        cvals = [c for c in divisors(t) if c % level == 0]
-        a_sums = power_sums([(1, a) for a in avals], w)
-        d_sums = power_sums([(1, s // a) for a in avals], w)
-        b_sums = power_sums([(1, t // c) for c in cvals], w)
-        c_sums = power_sums([(1, c) for c in cvals], w)
-        s_pows, t_pows = power_sums([(1, s)], w), power_sums([(1, t)], w)  # s^e and t^e, e = 0..w
+        cvals = [c for c in divisors(t) if c % level == 0]  # c = t is one, as level | t
+        a_sums, d_sums, b_sums, c_sums = (  # [sum of x^e over x in xs, e = 0..w], by adding table rows
+            list(map(sum, zip(*(powers[x] for x in xs))))
+            for xs in (avals, [s // a for a in avals], [t // c for c in cvals], cvals)
+        )
+        s_pows, t_pows = powers[s], powers[t]
         for n, acc in zip(ns, accs):
             nt = w - n
             pencil = _pencil(n, nt, s, t)

@@ -192,8 +192,13 @@ def compose_linear(poly, a, b):
     return BoundedPolynomial(coeffs, bound=poly.bound)
 
 
-def coeff_inner_product(f, g):
-    """Dot product of the two coefficient vectors (rational, so no conjugation), paired in integers."""
+def coeff_dot(f, g):
+    """Integer dot product of the two numerator vectors: the coefficient dot product times f.den * g.den."""
     if f.bound != g.bound:
         raise ValueError("inner product requires matching bounds (%d vs %d)" % (f.bound, g.bound))
-    return Fraction(sum(map(mul, f.num, g.num)), f.den * g.den)
+    return sum(map(mul, f.num, g.num))
+
+
+def coeff_inner_product(f, g):
+    """Dot product of the two coefficient vectors (rational, so no conjugation), paired in integers."""
+    return Fraction(coeff_dot(f, g), f.den * g.den)

@@ -7,9 +7,7 @@ from math import gcd
 def fraction_str(x):
     """Reduced 'p/q' string; integers render without the denominator."""
     x = x if isinstance(x, Fraction) else Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def fraction_latex(x):

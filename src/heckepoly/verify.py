@@ -6,6 +6,7 @@ fails with a detail string.  Results come back in submission order.
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -276,13 +277,7 @@ def suite_assembly(max_weight=30):
 
 
 def suite_hecke_relations(max_weight=22):
-    cache = {}
-
-    def tmat(w, m):
-        if (w, m) not in cache:
-            cache[(w, m)] = hecke_computation(2, w, m).t
-        return cache[(w, m)]
-
+    tmat = cache(lambda w, m: hecke_computation(2, w, m).t)  # each T once per suite run
     pairs = [(a, b) for a in range(2, 11) for b in range(a + 1, 11) if gcd(a, b) == 1]
 
     def make_pair(w, m1, m2):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,21 @@ def test_period_poly_parity_error(capsys):
     assert status == 1
     assert out == ""
     assert json.loads(err)["error"]["code"] == "UnsupportedParity"
+
+
+def test_hecke_matrix_stdout_matches_every_bench_reference_hash(capsys):
+    # bench/references.json maps "level,w,m" to the SHA-256 of the hecke-matrix stdout; the CLI JSON
+    # is meant to stay byte-identical, so every recorded request must reproduce its hash
+    references = json.loads((SRC.parent / "bench" / "references.json").read_text())
+    assert references
+    mismatched = []
+    for key, digest in references.items():
+        level, w, m = key.split(",")
+        status, out, err = run_cli(capsys, "hecke-matrix", "--level", level, "--w", w, "--m", m)
+        assert status == 0, (key, err)
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            mismatched.append(key)
+    assert not mismatched, "stdout differs from the recorded hash for %s" % mismatched
 
 
 def test_hecke_matrix_golden(capsys):

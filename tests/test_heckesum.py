@@ -225,6 +225,8 @@ def test_sign_restricted_sum_matches_per_matrix_expansion():
                 check(level, w, range(w + 1), m)
     check(5, 30, [0, 1, 2, 15, 28, 29, 30], 240)
     check(7, 30, [0, 1, 2, 15, 28, 29, 30], 210)
+    # m = 256, the CLI's largest index, at w = 30: a power table of 256 rows to exponent 30 and the longest pencils
+    check(2, 30, [2, 14, 28], 256)
 
 
 def test_pencil_recurrence_matches_binomial_convolution():

@@ -7,6 +7,7 @@ import pytest
 from heckepoly.exactnum import bernoulli_poly0
 from heckepoly.polyring import (
     BoundedPolynomial,
+    coeff_dot,
     coeff_inner_product,
     compose_linear,
     reciprocal_scale,
@@ -113,6 +114,10 @@ def test_inner_product_symmetric_bilinear():
         assert coeff_inner_product(f, g) == coeff_inner_product(g, f)
         assert coeff_inner_product(f + h, g) == coeff_inner_product(f, g) + coeff_inner_product(h, g)
         assert coeff_inner_product(c * f, g) == c * coeff_inner_product(f, g)
+        # the integer pairing behind it, which the Gram matrices use directly
+        assert coeff_dot(f, g) == coeff_inner_product(f, g) * f.den * g.den == sum(
+            a * b for a, b in zip(f.coeffs, g.coeffs)
+        ) * f.den * g.den
 
 
 def test_inner_product_printed_polynomial():
