@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedParityError,
 )
 from .exactlinalg import ExactMatrix, charpoly, determinant, hankel_bernoulli, mat_inverse
-from .exactnum import bernoulli_number, bernoulli_or_zero, bernoulli_poly0, moebius, sigma
+from .exactnum import bernoulli_number, bernoulli_poly0, moebius, sigma
 from .heckeop import HeckeComputation, basis_matrix, dim_cusp, hecke_charpoly, hecke_computation, hecke_matrix
 from .heckesum import IntMat2, eigenvalue_w6, enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, assemble_from_periods, period_value, r_plus_odd, s_poly
@@ -50,7 +50,6 @@ __all__ = [
     "assemble_from_periods",
     "basis_matrix",
     "bernoulli_number",
-    "bernoulli_or_zero",
     "bernoulli_poly0",
     "charpoly",
     "coeff_inner_product",

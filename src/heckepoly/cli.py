@@ -14,7 +14,7 @@ from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
 from .exactlinalg import hankel_bernoulli
 from .exactnum import bernoulli_number
-from .heckeop import dim_cusp, hecke_computation
+from .heckeop import dim_cusp, hecke_charpoly, hecke_computation, hecke_matrix
 from .heckesum import enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
 from .qoracle import (
@@ -137,24 +137,18 @@ def _cmd_hecke_sum(args):
     _emit(payload)
 
 
-def _hecke_computation(args):
+def _check_hecke_args(args):
     _check_level(args.level)
     if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
         raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
     if args.m > MAX_HECKE_M:
         raise ValueError("index m = %d exceeds the cap %d" % (args.m, MAX_HECKE_M))
-    return hecke_computation(args.level, args.w, args.m)
 
 
 def _cmd_hecke_matrix(args):
-    comp = _hecke_computation(args)
-    if args.format == "latex":
-        print(matrix_latex(comp.t))
-        print(charpoly_latex(comp.charpoly()))
-    elif args.format == "text":
-        print(matrix_text(comp.t))
-        print("charpoly (ascending):", " ".join(fraction_str(c) for c in comp.charpoly()))
-    else:
+    _check_hecke_args(args)
+    if args.format == "json":
+        comp = hecke_computation(args.level, args.w, args.m)  # the only output that prints S1 and S2
         _emit(
             {
                 "level": args.level,
@@ -167,11 +161,20 @@ def _cmd_hecke_matrix(args):
                 "charpoly": coeffs_json(comp.charpoly()),
             }
         )
+        return
+    t = hecke_matrix(args.level, args.w, args.m)
+    if args.format == "latex":
+        print(matrix_latex(t))
+        print(charpoly_latex(_charpoly(t)))
+    else:
+        print(matrix_text(t))
+        print("charpoly (ascending):", " ".join(fraction_str(c) for c in _charpoly(t)))
 
 
 def _cmd_charpoly(args):
-    comp = _hecke_computation(args)
-    _emit({"level": args.level, "w": args.w, "m": args.m, "charpoly": coeffs_json(comp.charpoly())})
+    _check_hecke_args(args)
+    cp = hecke_charpoly(args.level, args.w, args.m)
+    _emit({"level": args.level, "w": args.w, "m": args.m, "charpoly": coeffs_json(cp)})
 
 
 def _cmd_hankel(args):
@@ -258,6 +261,8 @@ def _cmd_verify(args):
     if cap is not None and args.max_weight is not None and args.max_weight > cap:
         raise ValueError("verify --suite %s needs --max-weight <= %d, got %d" % (args.suite, cap, args.max_weight))
     results = run_suite(args.suite, max_weight=args.max_weight)
+    if not results:
+        raise ValueError("verify --suite %s --max-weight %s runs no checks" % (args.suite, args.max_weight))
     failures = 0
     for result in results:
         if result.ok:

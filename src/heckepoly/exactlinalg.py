@@ -104,12 +104,6 @@ class ExactMatrix:
             raise ValueError("trace needs a square matrix")
         return sum((Fraction(self.num[i][i], self.dens[i]) for i in range(self.rows)), Fraction(0))
 
-    def is_symmetric(self):
-        num, dens = self.num, self.dens
-        return self.is_square() and all(
-            num[i][j] * dens[i] == num[j][i] * dens[j] for i in range(self.rows) for j in range(i)
-        )
-
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

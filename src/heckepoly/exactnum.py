@@ -28,7 +28,7 @@ def bernoulli_number(k):
     """
     global _bernoulli_cache
     if k < 0:
-        raise ValueError("Bernoulli index must be nonnegative (use bernoulli_or_zero for the B_l=0, l<0 convention)")
+        raise ValueError("Bernoulli index must be nonnegative")
     cache = _bernoulli_cache
     if k < len(cache):
         return cache[k]
@@ -42,13 +42,6 @@ def bernoulli_number(k):
         cache.append(-acc / comb(m, m - 1))
     _bernoulli_cache = cache
     return cache[k]
-
-
-def bernoulli_or_zero(k):
-    """B_k, extended by B_l = 0 for l < 0."""
-    if k < 0:
-        return Fraction(0)
-    return bernoulli_number(k)
 
 
 def bernoulli_poly0(k, terms=((1, 1),)):

@@ -3,8 +3,10 @@
 Solves the column-action identity ``image[j] = sum_k T[k, j] * base[k]``
 for T_m exactly over the base period polynomials' coefficients; an image
 outside their span is an error, never projected.  S1 and S2 (Gram-style
-pairings) are output only.  Complete for level 2; levels 3..5 run in an
-experimental mode where a failed basis is surfaced, never patched.
+pairings, ``gram``) are output only: ``hecke_computation`` forms them,
+``hecke_matrix`` and ``hecke_charpoly`` do not.  Complete for level 2;
+levels 3..5 run in an experimental mode where a failed basis is surfaced,
+never patched.
 """
 
 from dataclasses import dataclass
@@ -88,18 +90,8 @@ class HeckeComputation:
         return charpoly(self.t)
 
 
-def hecke_computation(level, w, m):
-    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 for output.
-
-    The matrix represents T_m with respect to the normalized even-index
-    period basis ``base[k] = s_poly(PeriodContext(level, w, 2k + 2))`` and
-    acts on columns: the corrected index-m image of ``base[j]`` equals
-    ``sum_k T[k, j] * base[k]``; T solves that identity exactly, and a
-    dependent base or an image outside its span raises BasisDeficientError.
-    S1, S2 (``S2[i, j] = <base[i], image[j]>``, coefficient dot product) are
-    output only; ``S1^-1 S2^t = S1^-1 T^t S1`` is the adjoint of T_m for that
-    product, a similar but different matrix.  Entries are exact rationals.
-    """
+def _solve(level, w, m):
+    """Basis indices, base period polynomials, their T_m images and T, with no Gram pairing."""
     if m < 1:
         raise ValueError("m must be positive")
     d = dim_cusp(level, w)
@@ -125,22 +117,45 @@ def hecke_computation(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
+    return indices, base, images, t
+
+
+def gram(base, images):
+    """S1[i, j] = <base[i], base[j]> and S2[i, j] = <base[i], images[j]>, coefficient dot products."""
+    d = len(base)
     upper = [[coeff_dot(base[i], base[j]) for i in range(j + 1)] for j in range(d)]  # S1 is symmetric: pair i <= j
     dots = [[upper[max(i, j)][min(i, j)] for i in range(d)] for j in range(d)]
     dots += [[coeff_dot(bi, img) for bi in base] for img in images]
     lcm_base = lcm(*(p.den for p in base))  # S[i, j] = dot / (den_i den_j): column j goes over lcm_base den_j
     columns = [[x * (lcm_base // bi.den) for x, bi in zip(col, base)] for col in dots]
     dens = [lcm_base * p.den for p in base + images]
-    s1, s2 = ExactMatrix.from_columns(columns[:d], dens[:d]), ExactMatrix.from_columns(columns[d:], dens[d:])
+    return ExactMatrix.from_columns(columns[:d], dens[:d]), ExactMatrix.from_columns(columns[d:], dens[d:])
+
+
+def hecke_computation(level, w, m):
+    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 for output.
+
+    The matrix represents T_m with respect to the normalized even-index
+    period basis ``base[k] = s_poly(PeriodContext(level, w, 2k + 2))`` and
+    acts on columns: the corrected index-m image of ``base[j]`` equals
+    ``sum_k T[k, j] * base[k]``; T solves that identity exactly, and a
+    dependent base or an image outside its span raises BasisDeficientError.
+    S1, S2 (``S2[i, j] = <base[i], image[j]>``, coefficient dot product) are
+    output only; ``S1^-1 S2^t = S1^-1 T^t S1`` is the adjoint of T_m for that
+    product, a similar but different matrix.  Entries are exact rationals.
+    """
+    indices, base, images, t = _solve(level, w, m)
+    s1, s2 = gram(base, images)
     return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
 
 
 def hecke_matrix(level, w, m):
     """The matrix of T_m on S_{w+2}(Gamma0(level)) in the period basis.
 
-    Column action, as in ``hecke_computation``: ``images[j] = sum_k T[k, j] * base[k]``.
+    Column action, as in ``hecke_computation``: ``images[j] = sum_k T[k, j] * base[k]``;
+    S1 and S2 are not formed.
     """
-    return hecke_computation(level, w, m).t
+    return _solve(level, w, m)[3]
 
 
 def hecke_charpoly(level, w, m):

@@ -104,12 +104,6 @@ class BoundedPolynomial:
             raise ValueError("coefficients exceed the degree bound %d" % bound)
         return BoundedPolynomial._over(self.num[: bound + 1] + [0] * (bound - self.bound), self.den)
 
-    def even_part(self):
-        return BoundedPolynomial._over([0 if k % 2 else x for k, x in enumerate(self.num)], self.den)
-
-    def odd_part(self):
-        return BoundedPolynomial._over([x if k % 2 else 0 for k, x in enumerate(self.num)], self.den)
-
     def __neg__(self):
         return BoundedPolynomial._over([-x for x in self.num], self.den)
 
@@ -143,13 +137,6 @@ class BoundedPolynomial:
             return NotImplemented
         # lowest terms make (num, den) unique up to trailing zeros
         return self.den == other.den and all(x == y for x, y in zip_longest(self.num, other.num, fillvalue=0))
-
-    def __call__(self, x):
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc / self.den
 
     def __repr__(self):
         terms = []

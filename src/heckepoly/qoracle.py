@@ -108,19 +108,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = QSeries(0, [1], prec=self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.prefix(min(self.prec, 5)))
         return "QSeries(weight=%s, prec=%d, coeffs=[%s, ...])" % (self.weight, self.prec, head)

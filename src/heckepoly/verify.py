@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 from .exactlinalg import ExactMatrix, charpoly, determinant, hankel_bernoulli, solve_right
 from .exactnum import bernoulli_number
-from .heckeop import basis_matrix, dim_cusp, hecke_computation
+from .heckeop import basis_matrix, dim_cusp, hecke_computation, hecke_matrix
 from .heckesum import (
     diagonal_sum,
     eigenvalue_w6,
@@ -102,9 +102,9 @@ def _check_paper_leading_coeff_remark():
 
 
 def _check_paper_t2_matrix():
-    comp = hecke_computation(2, 10, 2)
-    assert comp.t == ExactMatrix([[-208, 36], [-1120, 184]])
-    assert comp.charpoly() == [Fraction(2048), Fraction(24), Fraction(1)]
+    t = hecke_matrix(2, 10, 2)
+    assert t == ExactMatrix([[-208, 36], [-1120, 184]])
+    assert charpoly(t) == [Fraction(2048), Fraction(24), Fraction(1)]
 
 
 def _check_paper_t3_level4():
@@ -224,7 +224,7 @@ def suite_theorem14(max_weight=40):
 def suite_oracle(max_weight=40):
     def make(k, m):
         def run():
-            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_computation(2, k - 2, m).t)
+            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m))
 
         return Check("oracle charpoly k=%d m=%d" % (k, m), run)
 
@@ -277,7 +277,7 @@ def suite_assembly(max_weight=30):
 
 
 def suite_hecke_relations(max_weight=22):
-    tmat = cache(lambda w, m: hecke_computation(2, w, m).t)  # each T once per suite run
+    tmat = cache(lambda w, m: hecke_matrix(2, w, m))  # each T once per suite run
     pairs = [(a, b) for a in range(2, 11) for b in range(a + 1, 11) if gcd(a, b) == 1]
 
     def make_pair(w, m1, m2):

@@ -441,6 +441,42 @@ def test_verify_weight_ceilings(capsys):
     assert "oracle <= %d" % MAX_VERIFY_WEIGHT["oracle"] in " ".join(capsys.readouterr().out.split())
 
 
+def test_verify_suite_with_no_checks_is_an_error(capsys):
+    # a bound below a suite's first weight builds no checks; "0/0 checks passed" would read as a pass
+    for suite, bound in (("bases", 4), ("oracle", 6)):
+        _assert_precondition(
+            capsys,
+            ("verify", "--suite", suite, "--max-weight", str(bound)),
+            "verify --suite %s --max-weight %d runs no checks" % (suite, bound),
+        )
+
+
+def test_only_hecke_matrix_json_forms_s1_and_s2(capsys, monkeypatch):
+    from heckepoly import heckeop
+
+    gram, calls = heckeop.gram, []
+
+    def failing_gram(base, images):
+        pytest.fail("S1/S2 formed on a T-only path")
+
+    monkeypatch.setattr(heckeop, "gram", failing_gram)
+    assert heckeop.hecke_matrix(2, 10, 2) == heckeop.ExactMatrix([[-208, 36], [-1120, 184]])
+    assert heckeop.hecke_charpoly(2, 10, 2) == [2048, 24, 1]
+    args = ("--level", "2", "--w", "10", "--m", "2")
+    assert run_cli(capsys, "charpoly", *args)[0] == 0
+    assert run_cli(capsys, "hecke-matrix", *args, "--format", "text")[0] == 0
+    assert run_cli(capsys, "hecke-matrix", *args, "--format", "latex")[0] == 0
+
+    def counting_gram(base, images):
+        calls.append(len(base))
+        return gram(base, images)
+
+    monkeypatch.setattr(heckeop, "gram", counting_gram)
+    status, out, _ = run_cli(capsys, "hecke-matrix", *args)
+    assert status == 0 and calls == [2]
+    assert json.loads(out)["S1"] and json.loads(out)["S2"]
+
+
 def test_parser_built_once_per_process(capsys, monkeypatch):
     import heckepoly.cli as cli
 

@@ -40,14 +40,6 @@ def test_arithmetic_and_equality():
     assert p == BoundedPolynomial([1, 2, 3], bound=9)
     assert 2 * p == BoundedPolynomial([2, 4, 6])
     assert (p * q).coeff(3) == 3
-    assert p(2) == 1 + 4 + 12
-
-
-def test_even_odd_parts():
-    p = BoundedPolynomial([1, 2, 3, 4])
-    assert p.even_part() == BoundedPolynomial([1, 0, 3, 0])
-    assert p.odd_part() == BoundedPolynomial([0, 2, 0, 4])
-    assert p.even_part() + p.odd_part() == p
 
 
 def test_reciprocal_scale_examples():
@@ -172,8 +164,6 @@ def test_integer_representation_matches_fraction_model():
             assert p == p.with_bound(new_bound) == BoundedPolynomial(a, bound=ba)
         assert (p == q) == (pad(a, top + 1) == pad(b, top + 1))
         assert p != p + BoundedPolynomial.monomial(ba + 1, Fraction(1, 3))
-        _fraction_model_check(p.even_part(), [x if k % 2 == 0 else 0 for k, x in enumerate(a)], ba)
-        _fraction_model_check(p.odd_part(), [x if k % 2 else 0 for k, x in enumerate(a)], ba)
         level, w = rng.randint(1, 6), max(deg, 0) + rng.randint(0, 3)
         scaled = [Fraction(0)] * (w + 1)
         for k, x in enumerate(a[: w + 1]):
