@@ -42,15 +42,15 @@ MAX_LEVEL = 10**6
 MAX_LIST_M = 1000
 # the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
 MAX_SUM_M = 10**5
-# q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 and oracle-matrix --weight 40 take ~10 s
+# q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: MAX_ORACLE_WORK)
 MAX_PREC = 2000
 # solve plus charpoly grow steeply in the dimension d: ~6.5 s at level 5, w = 80 (d = 39), m = 12
 MAX_DIM = 40
 # m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 6 to 18 s
 MAX_HECKE_M = 256
-# qexp eta: makes one convolution per unit of sum |r| and one inversion: eta:1^-299,299^1 takes ~10 s at prec 2000
+# qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
 MAX_ETA_EXPONENTS = 300
-# oracle-matrix grows like d prec^2, steepest at d = MAX_DIM: ~9 s at weight 164 (d = 40), m = 2, prec 295
+# oracle-matrix grows like d prec^2, steepest at d = MAX_DIM: 3.0-3.9 s at weight 164 (d = 40), m = 2, prec 295
 MAX_ORACLE_WORK = 3_500_000
 # hecke-sum grows like m (w + 1) on top of B_(w+1): ~10 s at level 5, w = 1098, m = 27, ~9 s of it B_1099
 MAX_SUM_WORK = 30_000

@@ -30,17 +30,30 @@ def _lowest_terms(num, den):
 
 
 def convolve(a, b, length):
-    """Coefficients 0 .. length-1 of the product of two ascending coefficient lists.
+    """Coefficients 0 .. length-1 of the product of two ascending lists of ints.
 
-    The package's one convolution loop, for ints and Fractions; pass a sparse operand first.
+    The package's one convolution kernel, by Kronecker substitution: each operand
+    is packed into one big integer with a slot per coefficient, and one product
+    of the two gives every coefficient of the result at once.  The operands must
+    be ints (every caller passes integer numerators).
     """
-    out = [0] * length
-    for i, x in enumerate(a[:length]):
-        if x:
-            for j, y in enumerate(b[: length - i], i):
-                if y:
-                    out[j] += x * y
-    return out
+    a, b = a[:length], b[:length]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+    if not bound:
+        return [0] * length
+    # a slot of w bytes holds any |c| <= bound plus a sign bit; the half-slot
+    # offset makes every packed slot nonnegative, so no slot borrows from the next
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    offsets = bytes(w - 1) + b"\x80"  # half, little-endian
+
+    def pack(v):
+        packed = b"".join([(x + half).to_bytes(w, "little") for x in v])
+        return int.from_bytes(packed, "little") - int.from_bytes(offsets * len(v), "little")
+
+    low = pack(a) * pack(b) + int.from_bytes(offsets * length, "little")
+    raw = (low & ((1 << 8 * w * length) - 1)).to_bytes(w * length, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * length, w)]
 
 
 class BoundedPolynomial:

@@ -1,9 +1,9 @@
 """Independent q-expansion verification channel for level 2.
 
-Truncated q-series (integer numerators over one denominator): eta quotients via
-the pentagonal number theorem, Eisenstein series at both cusps of Gamma0(2),
-Hecke action on coefficients, a runtime-verified cusp-form basis, and oracle
-Hecke matrices to cross-check the period-polynomial pipeline.
+Truncated q-series (integer numerators over one denominator): eta quotients
+by the recurrence of their logarithmic derivative, Eisenstein series at both
+cusps of Gamma0(2), Hecke action on coefficients, a runtime-verified cusp-form
+basis, and oracle Hecke matrices to cross-check the period-polynomial pipeline.
 """
 
 from dataclasses import dataclass
@@ -113,33 +113,6 @@ class QSeries:
         return "QSeries(weight=%s, prec=%d, coeffs=[%s, ...])" % (self.weight, self.prec, head)
 
 
-def _series_inverse(coeffs, prec):
-    # reciprocal of an integer power series with constant term 1, coefficients ascending
-    terms = [(i, c) for i, c in enumerate(coeffs[1 : prec + 1], 1) if c]
-    inv = [1]
-    for n in range(1, prec + 1):
-        inv.append(-sum(c * inv[n - i] for i, c in terms if i <= n))
-    return inv
-
-
-def _euler_factor(delta, prec):
-    # prod_{n>=1} (1 - q^(delta n)) by the pentagonal number theorem
-    coeffs = [1] + [0] * prec
-    g = 1
-    while True:
-        p1 = delta * g * (3 * g - 1) // 2
-        p2 = delta * g * (3 * g + 1) // 2
-        if p1 > prec and p2 > prec:
-            break
-        s = (-1) ** g
-        if p1 <= prec:
-            coeffs[p1] += s
-        if p2 <= prec:
-            coeffs[p2] += s
-        g += 1
-    return coeffs
-
-
 def eta_quotient(parts, prec):
     """Product of rescaled Dedekind eta factors eta(delta z)^r.
 
@@ -162,16 +135,18 @@ def eta_quotient(parts, prec):
     inner = prec - lead
     if inner < 0:
         raise ValueError("prec %d below the leading exponent %d" % (prec, lead))
-    # sparse Euler factors build the positive and the negative part; one inversion divides them
-    pos, neg = [1] + [0] * inner, [1] + [0] * inner
+    # F = prod (1 - q^(delta n))^r has q F'/F = sum c_j q^j with
+    # c_j = -sum_(delta | j) r delta sigma_1(j / delta): one sieve over the parts
+    c = [0] * (inner + 1)
     for delta, r in parts:
-        factor = _euler_factor(delta, inner)
-        for _ in range(abs(r)):
-            if r > 0:
-                pos = convolve(factor, pos, inner + 1)
-            else:
-                neg = convolve(factor, neg, inner + 1)
-    return QSeries._over(rsum // 2, [0] * lead + convolve(_series_inverse(neg, inner), pos, inner + 1), 1)
+        for step in range(delta, inner + 1, delta):
+            for j in range(step, inner + 1, step):
+                c[j] -= r * step
+    # n F_n = sum_(j=1..n) c_j F_(n-j); the division is exact as F has integer coefficients
+    f = [1]
+    for n in range(1, inner + 1):
+        f.append(sum(map(mul, c[1 : n + 1], reversed(f))) // n)
+    return QSeries._over(rsum // 2, [0] * lead + f, 1)
 
 
 def eisenstein_level1(k, prec):

@@ -10,6 +10,7 @@ from heckepoly.polyring import (
     coeff_dot,
     coeff_inner_product,
     compose_linear,
+    convolve,
     reciprocal_scale,
 )
 
@@ -169,3 +170,36 @@ def test_integer_representation_matches_fraction_model():
         for k, x in enumerate(a[: w + 1]):
             scaled[w - k] = x / level**k
         _fraction_model_check(reciprocal_scale(p, level, w), scaled, w)
+
+
+def schoolbook(a, b, length):
+    out = [0] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] += x * y
+    return out
+
+
+def test_convolve_matches_schoolbook():
+    rng = random.Random(20260)
+    cases = [([], [], 3), ([], [5, -1], 2), ([0, 0, 0], [7, -7], 4), ([3], [0] * 5, 5), ([1, 2], [3], 0)]
+    for _ in range(300):
+        la, lb = rng.randint(0, 12), rng.randint(0, 12)
+        bits = rng.choice((1, 4, 20, 70, 200))
+        a = [rng.randint(-(2**bits), 2**bits) for _ in range(la)]
+        b = [rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(lb)]
+        # length below, at and above len(a) + len(b) - 1
+        full = la + lb - 1
+        cases += [(a, b, n) for n in {0, 1, max(full - 2, 0), max(full, 0), full + 3}]
+    # slot edges: all entries +-(2^j - 1), so the largest coefficient meets the slot bound
+    for j in (1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65):
+        top = 2**j - 1
+        for la, lb in ((1, 1), (2, 3), (4, 4), (5, 2), (8, 9)):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = [sa * top] * la, [sb * top] * lb
+                cases.append((a, b, la + lb - 1))
+                mixed = [rng.choice((top, -top)) for _ in range(la)]
+                cases.append((mixed, b, la + lb))
+    for a, b, length in cases:
+        assert convolve(a, b, length) == schoolbook(a, b, length), (a, b, length)

@@ -344,6 +344,102 @@ def test_eta_quotient_matches_fraction_products():
             assert f.coeffs == fraction_eta(parts, prec), parts
 
 
+def sparse_convolution(a, b, length):
+    """Coefficients 0 .. length-1 of a*b by the schoolbook loop, skipping zero entries."""
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        if x:
+            for j, y in enumerate(b[: length - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def series_inverse(coeffs, prec):
+    # reciprocal of an integer power series with constant term 1, coefficients ascending
+    terms = [(i, c) for i, c in enumerate(coeffs[1 : prec + 1], 1) if c]
+    inv = [1]
+    for n in range(1, prec + 1):
+        inv.append(-sum(c * inv[n - i] for i, c in terms if i <= n))
+    return inv
+
+
+def euler_factor(delta, prec):
+    # prod_{n>=1} (1 - q^(delta n)) by the pentagonal number theorem
+    coeffs = [1] + [0] * prec
+    g = 1
+    while True:
+        p1 = delta * g * (3 * g - 1) // 2
+        p2 = delta * g * (3 * g + 1) // 2
+        if p1 > prec and p2 > prec:
+            break
+        s = (-1) ** g
+        if p1 <= prec:
+            coeffs[p1] += s
+        if p2 <= prec:
+            coeffs[p2] += s
+        g += 1
+    return coeffs
+
+
+def euler_product_eta(parts, prec):
+    """(weight, numerators) of the eta quotient by Euler-factor products and one series inversion."""
+    parts = [(int(d), int(r)) for d, r in parts]
+    if not parts or any(d < 1 for d, _ in parts):
+        raise ValueError("parts must be nonempty with positive scales")
+    e24 = sum(d * r for d, r in parts)
+    if e24 % 24:
+        raise ValueError("leading exponent sum(delta*r)/24 = %s/24 is not an integer" % e24)
+    lead = e24 // 24
+    if lead < 0:
+        raise ValueError("negative leading exponent %d is unsupported" % lead)
+    rsum = sum(r for _, r in parts)
+    if rsum % 2:
+        raise ValueError("sum of eta exponents must be even for integral weight")
+    inner = prec - lead
+    if inner < 0:
+        raise ValueError("prec %d below the leading exponent %d" % (prec, lead))
+    pos, neg = [1] + [0] * inner, [1] + [0] * inner
+    for delta, r in parts:
+        factor = euler_factor(delta, inner)
+        for _ in range(abs(r)):
+            if r > 0:
+                pos = sparse_convolution(factor, pos, inner + 1)
+            else:
+                neg = sparse_convolution(factor, neg, inner + 1)
+    return rsum // 2, [0] * lead + sparse_convolution(series_inverse(neg, inner), pos, inner + 1)
+
+
+def test_eta_quotient_matches_euler_products():
+    grid = [
+        [(1, 8), (2, 8)],
+        [(1, -24), (2, 48)],
+        [(4, -2), (1, 16), (2, 8)],
+        [(1, 0), (2, 12), (3, 0)],  # zero exponents
+        [(1, 24), (401, 2), (401, -2)],  # delta > prec
+        [(1, 48), (101, 24)],  # leading exponent 103
+        [(100, 24)],  # leading exponent 100 = prec at prec 100
+        [(1, -12), (2, 6)],  # leading exponent 0 = prec at prec 0
+        [(1, -299), (299, 1)],  # at the exponent cap
+        [(1, 7)],
+        [(1, 24), (2, -1)],
+        [],
+        [(1, -24)],
+        [(0, 24)],
+    ]
+    for parts in grid:
+        for prec in (0, 1, 100, 400):
+            try:
+                expected = euler_product_eta(parts, prec)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    eta_quotient(parts, prec)
+                assert str(got.value) == str(exc), (parts, prec)
+                continue
+            f = eta_quotient(parts, prec)
+            assert (f.weight, f.num, f.den) == (*expected, 1), (parts, prec)
+
+
 def test_eisenstein_gamma02_matches_fraction_formula():
     prec = 40
     for k in range(4, 22, 2):
