@@ -35,39 +35,45 @@ from .serialize import (
     poly_latex,
     poly_text,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
-MAX_LEVEL = 10**6
-# |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
-MAX_LIST_M = 1000
-# the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
-MAX_SUM_M = 10**5
-# q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: MAX_ORACLE_WORK)
-MAX_PREC = 2000
-# solve plus charpoly grow steeply in the dimension d: ~6.5 s at level 5, w = 80 (d = 39), m = 12
-MAX_DIM = 40
-# m <= 256 covers the benchmark grid (m <= 240); near d = MAX_DIM, m = 256 takes 6 to 18 s
-MAX_HECKE_M = 256
-# qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
-MAX_ETA_EXPONENTS = 300
-# oracle-matrix grows like d prec^2, steepest at d = MAX_DIM: 3.0-3.9 s at weight 164 (d = 40), m = 2, prec 295
-MAX_ORACLE_WORK = 3_500_000
-# hecke-sum grows like m (w + 1) on top of B_(w+1): ~10 s at level 5, w = 1098, m = 27, ~9 s of it B_1099
-MAX_SUM_WORK = 30_000
-# B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
-MAX_BERNOULLI = 1100
-# Bareiss on the n x n Bernoulli Hankel matrix grows like n^7: hankel --n 50 takes ~10 s, --n 60 took 30 s
-MAX_HANKEL_N = 50
-# verify --max-weight per bounded suite, each ~10 s at its ceiling (oracle --max-weight 200 ran past 60 s)
-MAX_VERIFY_WEIGHT = {"bases": 132, "theorem14": 92, "oracle": 90, "assembly": 100, "hecke-relations": 58}
+# Every cap on CLI input, keyed by the quantity's name as cap messages and help texts print it
+LIMITS = {
+    "level": 10**6,
+    # |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
+    "--list-matrices m": 1000,
+    # the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
+    "hecke-sum m": 10**5,
+    # hecke-sum grows like m (w + 1) on top of B_(w+1): ~10 s at level 5, w = 1098, m = 27, ~9 s of it B_1099
+    "m (w + 1)": 30_000,
+    # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: "d prec^2")
+    "prec": 2000,
+    # solve plus charpoly grow steeply in the dimension d: ~6.5 s at level 5, w = 80 (d = 39), m = 12
+    "cusp space dimension": 40,
+    # covers the benchmark grid (m <= 240); at the dimension cap, the top index takes 6 to 18 s
+    "index m": 256,
+    # qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
+    "eta sum |r|": 300,
+    # oracle-matrix is steepest at the dimension cap: 3.0-3.9 s at weight 164 (d = 40), m = 2, prec 295
+    "d prec^2": 3_500_000,
+    # B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
+    "Bernoulli index": 1100,
+    # Bareiss on the n x n Bernoulli Hankel matrix grows like n^7: hankel --n 50 takes ~10 s, --n 60 took 30 s
+    "hankel n": 50,
+    **{"%s --max-weight" % name: ceiling for name, (_, ceiling) in SUITES.items() if ceiling},  # see verify.SUITES
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; the contract here is exit 1 with usage on stderr
+    # argparse prints usage and exits 2 on bad usage; the contract here is a JSON error on stderr and exit 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print("error: %s" % message, file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_report("PreconditionViolated", "%s: %s" % (self.prog, message)))
+
+
+def _report(code, message):
+    """Write the structured error to stderr; returns the exit status 1."""
+    print(json.dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
+    return 1
 
 
 def _emit(payload):
@@ -87,24 +93,30 @@ def _int_str_digits(limit):
         setter(old)
 
 
+def _require(name, value, shown=None):
+    """Refuse a value over the cap LIMITS[name]; ``shown`` prints a product cap's factors instead."""
+    if value > LIMITS[name]:
+        raise ValueError("%s = %s exceeds the cap %d" % (name, value if shown is None else shown, LIMITS[name]))
+
+
+def _cap(name):
+    return "%s <= %d" % (name, LIMITS[name])
+
+
 def _check_level(level):
-    if not 2 <= level <= MAX_LEVEL:
-        raise ValueError("level must be between 2 and %d" % MAX_LEVEL)
-
-
-def _check_bernoulli_index(k):
-    if k > MAX_BERNOULLI:
-        raise ValueError("Bernoulli index %d exceeds the cap %d" % (k, MAX_BERNOULLI))
+    if level < 2:
+        raise ValueError("level must be at least 2, got %d" % level)
+    _require("level", level)
 
 
 def _cmd_bernoulli(args):
-    _check_bernoulli_index(args.n)
+    _require("Bernoulli index", args.n)
     print(fraction_str(bernoulli_number(args.n)))
 
 
 def _cmd_period_poly(args):
     _check_level(args.level)
-    _check_bernoulli_index(args.w + 1)
+    _require("Bernoulli index", args.w + 1)
     ctx = PeriodContext(args.level, args.w, args.n)
     poly = s_poly(ctx) if args.sign == "minus" else r_plus_odd(ctx)
     if args.format == "json":
@@ -120,15 +132,12 @@ def _cmd_period_poly(args):
 def _cmd_hecke_sum(args):
     _check_level(args.level)
     if args.list_matrices:
-        if args.m > MAX_LIST_M:
-            raise ValueError("--list-matrices needs m <= %d, got m=%d" % (MAX_LIST_M, args.m))
+        _require("--list-matrices m", args.m)
         _emit([list(mat) for mat in enumerate_H_neg(args.level, args.m)])
         return
-    if args.m > MAX_SUM_M:
-        raise ValueError("hecke-sum needs m <= %d, got m=%d" % (MAX_SUM_M, args.m))
-    _check_bernoulli_index(args.w + 1)
-    if args.m * (args.w + 1) > MAX_SUM_WORK:
-        raise ValueError("m (w + 1) = %d * %d exceeds the cap %d" % (args.m, args.w + 1, MAX_SUM_WORK))
+    _require("hecke-sum m", args.m)
+    _require("Bernoulli index", args.w + 1)
+    _require("m (w + 1)", args.m * (args.w + 1), "%d * %d" % (args.m, args.w + 1))
     ctx = PeriodContext(args.level, args.w, args.n)
     corrected = not args.raw
     poly = r_minus_hecke(ctx, args.m) if corrected else s_poly_m(ctx, args.m)
@@ -139,10 +148,8 @@ def _cmd_hecke_sum(args):
 
 def _check_hecke_args(args):
     _check_level(args.level)
-    if (d := dim_cusp(args.level, args.w)) > MAX_DIM:
-        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
-    if args.m > MAX_HECKE_M:
-        raise ValueError("index m = %d exceeds the cap %d" % (args.m, MAX_HECKE_M))
+    _require("cusp space dimension", dim_cusp(args.level, args.w))
+    _require("index m", args.m)
 
 
 def _cmd_hecke_matrix(args):
@@ -178,8 +185,7 @@ def _cmd_charpoly(args):
 
 
 def _cmd_hankel(args):
-    if args.n > MAX_HANKEL_N:
-        raise ValueError("hankel needs n <= %d, got n=%d" % (MAX_HANKEL_N, args.n))
+    _require("hankel n", args.n)
     det, closed = hankel_bernoulli(args.which, args.n)
     _emit(
         {
@@ -200,14 +206,14 @@ def _parse_eta_parts(spec):
             raise ValueError("eta part %r must look like delta^exponent" % token)
         delta, _, expo = token.partition("^")
         parts.append((int(delta), int(expo)))
-    if (total := sum(abs(r) for _, r in parts)) > MAX_ETA_EXPONENTS:
-        raise ValueError("eta exponents sum to |r| = %d, over the cap %d" % (total, MAX_ETA_EXPONENTS))
+    _require("eta sum |r|", sum(abs(r) for _, r in parts))
     return parts
 
 
 def _cmd_qexp(args):
-    if not 0 <= args.prec <= MAX_PREC:
-        raise ValueError("prec must be between 0 and %d, got %d" % (MAX_PREC, args.prec))
+    if args.prec < 0:
+        raise ValueError("prec must be nonnegative, got %d" % args.prec)
+    _require("prec", args.prec)
     kind, _, rest = args.form.partition(":")
     if not rest:
         raise ValueError("form must look like 'eta:1^8,2^8', 'E:k', 'Einf:k' or 'E0:k'")
@@ -217,7 +223,7 @@ def _cmd_qexp(args):
             series = eta_quotient(_parse_eta_parts(rest), args.prec)
         elif kind in ("E", "Einf", "E0"):
             k = int(rest)
-            _check_bernoulli_index(k)  # E_k needs B_k
+            _require("Bernoulli index", k)  # E_k needs B_k
             if kind == "E":
                 series = eisenstein_level1(k, args.prec)
             else:
@@ -238,12 +244,9 @@ def _cmd_oracle_matrix(args):
     if args.prec < 0:
         raise ValueError("prec must be positive (0 selects the default), got %d" % args.prec)
     prec = args.prec or default_precision(args.weight, args.m)
-    if prec > MAX_PREC:
-        raise ValueError("prec %d exceeds the cap %d" % (prec, MAX_PREC))
-    if (d := dim_cusp(2, args.weight - 2)) > MAX_DIM:
-        raise ValueError("cusp space dimension %d exceeds the cap %d" % (d, MAX_DIM))
-    if d * prec**2 > MAX_ORACLE_WORK:
-        raise ValueError("d prec^2 = %d * %d^2 exceeds the cap %d" % (d, prec, MAX_ORACLE_WORK))
+    _require("prec", prec)
+    _require("cusp space dimension", d := dim_cusp(2, args.weight - 2))
+    _require("d prec^2", d * prec**2, "%d * %d^2" % (d, prec))
     t = hecke_matrix_oracle(args.weight, args.m, prec=prec)
     _emit(
         {
@@ -257,9 +260,8 @@ def _cmd_oracle_matrix(args):
 
 
 def _cmd_verify(args):
-    cap = MAX_VERIFY_WEIGHT.get(args.suite)
-    if cap is not None and args.max_weight is not None and args.max_weight > cap:
-        raise ValueError("verify --suite %s needs --max-weight <= %d, got %d" % (args.suite, cap, args.max_weight))
+    if args.max_weight is not None and (name := "%s --max-weight" % args.suite) in LIMITS:
+        _require(name, args.max_weight)
     results = run_suite(args.suite, max_weight=args.max_weight)
     if not results:
         raise ValueError("verify --suite %s --max-weight %s runs no checks" % (args.suite, args.max_weight))
@@ -275,16 +277,17 @@ def _cmd_verify(args):
 
 
 def build_parser():
-    w_help = "even; w + 1 <= %d (the largest Bernoulli index used)" % MAX_BERNOULLI
+    w_help = "even; needs B_(w+1), so " + _cap("Bernoulli index")
+    dim_help = "even; S_(w+2) needs " + _cap("cusp space dimension")
     parser = _Parser(prog="heckepoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="print B_n as p/q")
-    p.add_argument("--n", type=int, required=True, help="n <= %d" % MAX_BERNOULLI)
+    p.add_argument("--n", type=int, required=True, help=_cap("Bernoulli index"))
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("period-poly", help="closed-form period polynomial")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=int, required=True, help=_cap("level"))
     p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
@@ -292,53 +295,50 @@ def build_parser():
     p.set_defaults(func=_cmd_period_poly)
 
     p = sub.add_parser("hecke-sum", help="index-m period polynomial sum")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=int, required=True, help=_cap("level"))
     p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="m <= %d and m (w + 1) <= %d" % (MAX_SUM_M, MAX_SUM_WORK))
+    p.add_argument("--m", type=int, required=True, help="%s and %s" % (_cap("hecke-sum m"), _cap("m (w + 1)")))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     group.add_argument("--corrected", action="store_true", help="apply the correction (default)")
-    p.add_argument(
-        "--list-matrices",
-        action="store_true",
-        help="dump the sign-restricted matrix set instead (m <= %d)" % MAX_LIST_M,
-    )
+    list_help = "dump the sign-restricted matrix set instead (%s)" % _cap("--list-matrices m")
+    p.add_argument("--list-matrices", action="store_true", help=list_help)
     p.set_defaults(func=_cmd_hecke_sum)
 
     p = sub.add_parser("hecke-matrix", help="T_m in the period basis, with S1 and S2")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
-    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_HECKE_M)
+    p.add_argument("--level", type=int, required=True, help=_cap("level"))
+    p.add_argument("--w", type=int, required=True, help=dim_help)
+    p.add_argument("--m", type=int, required=True, help=_cap("index m"))
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p.set_defaults(func=_cmd_hecke_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of T_m")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--w", type=int, required=True, help="even; dim S_(w+2) must be <= %d" % MAX_DIM)
-    p.add_argument("--m", type=int, required=True, help="m <= %d" % MAX_HECKE_M)
+    p.add_argument("--level", type=int, required=True, help=_cap("level"))
+    p.add_argument("--w", type=int, required=True, help=dim_help)
+    p.add_argument("--m", type=int, required=True, help=_cap("index m"))
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("hankel", help="Bernoulli Hankel determinant vs closed form")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--n", type=int, required=True, help="1 <= n <= %d" % MAX_HANKEL_N)
+    p.add_argument("--n", type=int, required=True, help="n >= 1, " + _cap("hankel n"))
     p.set_defaults(func=_cmd_hankel)
 
     p = sub.add_parser("qexp", help="q-expansion of eta quotients / Eisenstein series")
-    form_help = "'eta:1^8,2^8' (sum |r| <= %d), 'E:k', 'Einf:k' or 'E0:k' (k <= %d)" % (MAX_ETA_EXPONENTS, MAX_BERNOULLI)
+    form_help = "'eta:1^8,2^8' (%s), 'E:k', 'Einf:k' or 'E0:k' (k is a %s)" % (_cap("eta sum |r|"), _cap("Bernoulli index"))
     p.add_argument("--form", required=True, help=form_help)
-    p.add_argument("--prec", type=int, default=20, help="0 <= prec <= %d" % MAX_PREC)
+    p.add_argument("--prec", type=int, default=20, help="prec >= 0, " + _cap("prec"))
     p.set_defaults(func=_cmd_qexp)
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
-    p.add_argument("--weight", type=int, required=True, help="even; dim S_weight(Gamma0(2)) must be <= %d" % MAX_DIM)
+    p.add_argument("--weight", type=int, required=True, help="even; S_weight(Gamma0(2)) needs " + _cap("cusp space dimension"))
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, default=0, help="0: the Sturm-bound default; prec <= %d, d prec^2 <= %d" % (MAX_PREC, MAX_ORACLE_WORK))
+    p.add_argument("--prec", type=int, default=0, help="0: the Sturm-bound default; %s, %s" % (_cap("prec"), _cap("d prec^2")))
     p.set_defaults(func=_cmd_oracle_matrix)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    caps = ", ".join("%s <= %d" % item for item in MAX_VERIFY_WEIGHT.items())
+    caps = ", ".join(_cap(name) for name in LIMITS if name.endswith(" --max-weight"))
     p.add_argument("--max-weight", type=int, default=None, help="bound of the suites that take one: " + caps)
     p.set_defaults(func=_cmd_verify)
 
@@ -358,11 +358,9 @@ def main(argv=None):
         with _int_str_digits(0):
             status = args.func(args)
     except HeckePolyError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return 1
+        return _report(exc.code, str(exc))
     except ValueError as exc:
-        print(json.dumps({"error": {"code": "PreconditionViolated", "message": str(exc)}}), file=sys.stderr)
-        return 1
+        return _report("PreconditionViolated", str(exc))
     return status or 0
 
 

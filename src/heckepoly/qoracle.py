@@ -136,12 +136,16 @@ def eta_quotient(parts, prec):
     if inner < 0:
         raise ValueError("prec %d below the leading exponent %d" % (prec, lead))
     # F = prod (1 - q^(delta n))^r has q F'/F = sum c_j q^j with
-    # c_j = -sum_(delta | j) r delta sigma_1(j / delta): one sieve over the parts
-    c = [0] * (inner + 1)
+    # c_j = -sum_(delta | j) r delta sigma_1(j / delta), r the total exponent of each delta
+    exponents = {}
     for delta, r in parts:
-        for step in range(delta, inner + 1, delta):
-            for j in range(step, inner + 1, step):
-                c[j] -= r * step
+        exponents[delta] = exponents.get(delta, 0) + r
+    c = [0] * (inner + 1)
+    for delta, r in exponents.items():
+        if r:  # one sieve per delta whose exponents do not cancel, so zero parts cost nothing
+            for step in range(delta, inner + 1, delta):
+                for j in range(step, inner + 1, step):
+                    c[j] -= r * step
     # n F_n = sum_(j=1..n) c_j F_(n-j); the division is exact as F has integer coefficients
     f = [1]
     for n in range(1, inner + 1):

@@ -298,32 +298,28 @@ def suite_hecke_relations(max_weight=22):
         return Check("T_%d^2 relation w=%d" % (p, w), run)
 
     checks = [make_pair(w, m1, m2) for w in range(6, max_weight + 1, 2) for m1, m2 in pairs]
-    checks += [make_prime_square(w, p) for w in range(6, 20, 2) for p in (3, 5)]
+    checks += [make_prime_square(w, p) for w in range(6, min(max_weight, 18) + 1, 2) for p in (3, 5)]
     return checks
 
 
+# name -> (builder, ceiling of its --max-weight bound, or None for a suite that takes no bound);
+# each suite takes about 10 s at its ceiling (oracle --max-weight 200 ran past 60 s)
 SUITES = {
-    "paper-examples": suite_paper_examples,
-    "hankel": suite_hankel,
-    "bases": suite_bases,
-    "theorem14": suite_theorem14,
-    "oracle": suite_oracle,
-    "symmetry": suite_symmetry,
-    "assembly": suite_assembly,
-    "hecke-relations": suite_hecke_relations,
+    "paper-examples": (suite_paper_examples, None),
+    "hankel": (suite_hankel, None),
+    "bases": (suite_bases, 132),
+    "theorem14": (suite_theorem14, 92),
+    "oracle": (suite_oracle, 90),
+    "symmetry": (suite_symmetry, None),
+    "assembly": (suite_assembly, 100),
+    "hecke-relations": (suite_hecke_relations, 58),
 }
-
-# suites that accept a --max-weight style bound
-_BOUNDED = {"bases", "theorem14", "oracle", "assembly", "hecke-relations"}
 
 
 def run_suite(name, max_weight=None):
-    """Run one named suite; returns the ordered list of CheckResults."""
+    """Run one named suite, bounded by ``max_weight`` if it has a ceiling; returns the ordered CheckResults."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
-    builder = SUITES[name]
-    if max_weight is not None and name in _BOUNDED:
-        checks = builder(max_weight)
-    else:
-        checks = builder()
+    builder, ceiling = SUITES[name]
+    checks = builder() if ceiling is None or max_weight is None else builder(max_weight)
     return [_evaluate(check) for check in checks]

@@ -7,21 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from heckepoly.cli import (
-    MAX_BERNOULLI,
-    MAX_DIM,
-    MAX_ETA_EXPONENTS,
-    MAX_HANKEL_N,
-    MAX_HECKE_M,
-    MAX_LIST_M,
-    MAX_ORACLE_WORK,
-    MAX_PREC,
-    MAX_SUM_M,
-    MAX_SUM_WORK,
-    MAX_VERIFY_WEIGHT,
-    main,
-)
-from heckepoly.verify import _BOUNDED
+from heckepoly.cli import LIMITS, main
+from heckepoly.verify import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +17,17 @@ def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _over_cap(name, value):
+    return "%s = %s exceeds the cap %d" % (name, value, LIMITS[name])
+
+
+def _help_shows_cap(capsys, command, name):
+    """Whether ``command --help`` prints the cap "name <= cap" (argparse wraps lines at spaces and hyphens)."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return ("%s<=%d" % (name, LIMITS[name])).replace(" ", "") in "".join(capsys.readouterr().out.split())
 
 
 def test_bernoulli(capsys):
@@ -114,113 +112,91 @@ def test_hecke_sum_list_matrices(capsys):
 
 
 def test_hecke_sum_list_matrices_cap(capsys):
+    cap = LIMITS["--list-matrices m"]
     status, out, err = run_cli(
-        capsys, "hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(MAX_LIST_M + 1), "--list-matrices"
+        capsys, "hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(cap + 1), "--list-matrices"
     )
     assert status == 1
     assert out == ""
-    assert json.loads(err)["error"]["code"] == "PreconditionViolated"
-    status, out, _ = run_cli(
-        capsys, "hecke-sum", "--level", "5", "--w", "6", "--n", "2", "--m", str(MAX_LIST_M), "--list-matrices"
-    )
+    error = json.loads(err)["error"]
+    assert error["code"] == "PreconditionViolated"
+    assert error["message"] == _over_cap("--list-matrices m", cap + 1)
+    assert _help_shows_cap(capsys, "hecke-sum", "--list-matrices m")
+    status, out, _ = run_cli(capsys, "hecke-sum", "--level", "5", "--w", "6", "--n", "2", "--m", str(cap), "--list-matrices")
     assert status == 0
     assert len(json.loads(out)) > 0
 
 
 def test_hecke_sum_m_cap(capsys):
-    status, out, err = run_cli(capsys, "hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(MAX_SUM_M + 1))
-    assert status == 1
-    assert out == ""
-    assert json.loads(err)["error"]["code"] == "PreconditionViolated"
-    with pytest.raises(SystemExit):
-        main(["hecke-sum", "--help"])
-    assert "m <= %d" % MAX_SUM_M in capsys.readouterr().out
+    cap = LIMITS["hecke-sum m"]
+    _assert_precondition(
+        capsys, ("hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(cap + 1)), _over_cap("hecke-sum m", cap + 1)
+    )
+    assert _help_shows_cap(capsys, "hecke-sum", "hecke-sum m")
 
 
 def test_q_series_precision_cap(capsys):
-    for argv in (
-        ("qexp", "--form", "E:4", "--prec", str(MAX_PREC + 1)),
-        ("qexp", "--form", "eta:1^8,2^8", "--prec", "-1"),
-        ("oracle-matrix", "--weight", "12", "--m", "2", "--prec", str(MAX_PREC + 1)),
-        # the default precision m (k/4 + 2) = 2005 exceeds the cap
-        ("oracle-matrix", "--weight", "12", "--m", str(MAX_PREC // 5 + 1)),
+    cap = LIMITS["prec"]
+    # the default precision m (k/4 + 2) of weight 12 is 5 m: one index past cap / 5 takes it over the cap
+    default_over = 5 * (cap // 5 + 1)
+    for argv, message in (
+        (("qexp", "--form", "E:4", "--prec", str(cap + 1)), _over_cap("prec", cap + 1)),
+        (("qexp", "--form", "eta:1^8,2^8", "--prec", "-1"), "prec must be nonnegative, got -1"),
+        (("oracle-matrix", "--weight", "12", "--m", "2", "--prec", str(cap + 1)), _over_cap("prec", cap + 1)),
+        (("oracle-matrix", "--weight", "12", "--m", str(cap // 5 + 1)), _over_cap("prec", default_over)),
     ):
-        status, out, err = run_cli(capsys, *argv)
-        assert status == 1, argv
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PreconditionViolated"
-        assert str(MAX_PREC) in error["message"]
-    status, out, _ = run_cli(capsys, "qexp", "--form", "E:4", "--prec", str(MAX_PREC))
+        _assert_precondition(capsys, argv, message)
+    for command in ("qexp", "oracle-matrix"):
+        assert _help_shows_cap(capsys, command, "prec")
+    status, out, _ = run_cli(capsys, "qexp", "--form", "E:4", "--prec", str(cap))
     assert status == 0
-    assert len(json.loads(out)["coeffs"]) == MAX_PREC + 1
+    assert len(json.loads(out)["coeffs"]) == cap + 1
 
 
 def test_dimension_cap(capsys):
-    # d = 41 in each: level 5 at w = 82, level 2 at w = 166 and weight 168
+    # d = 41, one over the cap of 40, in each: level 5 at w = 82, level 2 at w = 166 and weight 168
+    assert LIMITS["cusp space dimension"] == 40
     for argv in (
         ("hecke-matrix", "--level", "5", "--w", "82", "--m", "2"),
         ("charpoly", "--level", "2", "--w", "166", "--m", "3"),
         ("oracle-matrix", "--weight", "168", "--m", "2"),
     ):
-        status, out, err = run_cli(capsys, *argv)
-        assert status == 1, argv
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PreconditionViolated"
-        assert "dimension 41 exceeds the cap %d" % MAX_DIM in error["message"]
+        _assert_precondition(capsys, argv, _over_cap("cusp space dimension", 41))
     for command in ("hecke-matrix", "charpoly", "oracle-matrix"):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "<= %d" % MAX_DIM in capsys.readouterr().out
+        assert _help_shows_cap(capsys, command, "cusp space dimension")
 
 
 def test_hecke_index_cap(capsys):
+    cap = LIMITS["index m"]
     for command in ("hecke-matrix", "charpoly"):
-        status, out, err = run_cli(capsys, command, "--level", "2", "--w", "10", "--m", str(MAX_HECKE_M + 1))
-        assert status == 1, command
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PreconditionViolated"
-        assert error["message"] == "index m = %d exceeds the cap %d" % (MAX_HECKE_M + 1, MAX_HECKE_M)
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "m <= %d" % MAX_HECKE_M in capsys.readouterr().out
-    status, out, _ = run_cli(capsys, "charpoly", "--level", "2", "--w", "10", "--m", str(MAX_HECKE_M))
+        _assert_precondition(
+            capsys, (command, "--level", "2", "--w", "10", "--m", str(cap + 1)), _over_cap("index m", cap + 1)
+        )
+        assert _help_shows_cap(capsys, command, "index m")
+    status, out, _ = run_cli(capsys, "charpoly", "--level", "2", "--w", "10", "--m", str(cap))
     assert status == 0
-    assert json.loads(out)["m"] == MAX_HECKE_M
+    assert json.loads(out)["m"] == cap
 
 
 def test_bernoulli_index_cap(capsys):
-    # MAX_BERNOULLI is even, so w = MAX_BERNOULLI is a valid weight whose B_(w+1) is one past the cap
+    # the cap is even, so w = cap is a valid weight whose B_(w+1) is one past the cap
+    cap = LIMITS["Bernoulli index"]
+    assert cap % 2 == 0
     for argv in (
-        ("bernoulli", "--n", str(MAX_BERNOULLI + 1)),
-        ("period-poly", "--level", "2", "--w", str(MAX_BERNOULLI), "--n", "2", "--sign", "minus"),
-        ("hecke-sum", "--level", "2", "--w", str(MAX_BERNOULLI), "--n", "2", "--m", "2"),
+        ("bernoulli", "--n", str(cap + 1)),
+        ("period-poly", "--level", "2", "--w", str(cap), "--n", "2", "--sign", "minus"),
+        ("hecke-sum", "--level", "2", "--w", str(cap), "--n", "2", "--m", "2"),
     ):
-        status, out, err = run_cli(capsys, *argv)
-        assert status == 1, argv
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PreconditionViolated"
-        assert error["message"] == "Bernoulli index %d exceeds the cap %d" % (MAX_BERNOULLI + 1, MAX_BERNOULLI)
-        with pytest.raises(SystemExit):
-            main([argv[0], "--help"])
-        assert "<= %d" % MAX_BERNOULLI in capsys.readouterr().out
+        _assert_precondition(capsys, argv, _over_cap("Bernoulli index", cap + 1))
+        assert _help_shows_cap(capsys, argv[0], "Bernoulli index")
 
 
 def test_eisenstein_weight_cap(capsys):
-    # E_k needs B_k: an even weight past MAX_BERNOULLI is refused before the recurrence runs
-    k = MAX_BERNOULLI + 2
+    # E_k needs B_k: an even weight past the Bernoulli index cap is refused before the recurrence runs
+    k = LIMITS["Bernoulli index"] + 2
     for kind in ("E", "Einf", "E0"):
-        _assert_precondition(
-            capsys,
-            ("qexp", "--form", "%s:%d" % (kind, k), "--prec", "5"),
-            "Bernoulli index %d exceeds the cap %d" % (k, MAX_BERNOULLI),
-        )
-    with pytest.raises(SystemExit):
-        main(["qexp", "--help"])
-    assert "(k <= %d)" % MAX_BERNOULLI in " ".join(capsys.readouterr().out.split())
+        _assert_precondition(capsys, ("qexp", "--form", "%s:%d" % (kind, k), "--prec", "5"), _over_cap("Bernoulli index", k))
+    assert _help_shows_cap(capsys, "qexp", "Bernoulli index")
 
 
 def test_charpoly_beyond_weight_62(capsys):
@@ -301,6 +277,12 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bernoulli", "--n", "3", "--wat"])
     assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # a usage error is the same structured JSON error on stderr as any refused input
+    assert json.loads(captured.err) == {
+        "error": {"code": "PreconditionViolated", "message": "heckepoly: unrecognized arguments: --wat"}
+    }
 
 
 def _child_env():
@@ -358,77 +340,59 @@ def _assert_precondition(capsys, argv, message):
 
 
 def test_eta_exponent_cap(capsys):
-    # sum |r| = 302, one over the cap; eta:1^-299,299^1 sits at the cap (~10 s at prec 2000)
-    _assert_precondition(
-        capsys,
-        ("qexp", "--form", "eta:1^-301,301^1", "--prec", "5"),
-        "eta exponents sum to |r| = 302, over the cap %d" % MAX_ETA_EXPONENTS,
-    )
+    # sum |r| = 302, over the cap of 300; eta:1^-299,299^1 sits at the cap (~10 s at prec 2000)
+    assert LIMITS["eta sum |r|"] == 300
+    _assert_precondition(capsys, ("qexp", "--form", "eta:1^-301,301^1", "--prec", "5"), _over_cap("eta sum |r|", 302))
     status, out, _ = run_cli(capsys, "qexp", "--form", "eta:1^-299,299^1", "--prec", "5")
     assert status == 0
     assert json.loads(out)["coeffs"][:2] == ["1", "299"]  # prod (1 - q^n)^-299 below q^299
-    with pytest.raises(SystemExit):
-        main(["qexp", "--help"])
-    assert "sum |r| <= %d" % MAX_ETA_EXPONENTS in " ".join(capsys.readouterr().out.split())
+    assert _help_shows_cap(capsys, "qexp", "eta sum |r|")
 
 
 def test_oracle_work_cap(capsys):
     # d prec^2 = 40 * 296^2 and 2 * 1323^2 are just over the cap; 2 * 1322^2 is just under it
+    assert 2 * 1322**2 <= LIMITS["d prec^2"] < min(40 * 296**2, 2 * 1323**2)
     _assert_precondition(
-        capsys,
-        ("oracle-matrix", "--weight", "164", "--m", "2", "--prec", "296"),
-        "d prec^2 = 40 * 296^2 exceeds the cap %d" % MAX_ORACLE_WORK,
+        capsys, ("oracle-matrix", "--weight", "164", "--m", "2", "--prec", "296"), _over_cap("d prec^2", "40 * 296^2")
     )
     _assert_precondition(
-        capsys,
-        ("oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1323"),
-        "d prec^2 = 2 * 1323^2 exceeds the cap %d" % MAX_ORACLE_WORK,
+        capsys, ("oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1323"), _over_cap("d prec^2", "2 * 1323^2")
     )
     status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1322")
     assert status == 0
     assert json.loads(out)["prec"] == 1322
-    with pytest.raises(SystemExit):
-        main(["oracle-matrix", "--help"])
-    assert "d prec^2 <= %d" % MAX_ORACLE_WORK in " ".join(capsys.readouterr().out.split())
+    assert _help_shows_cap(capsys, "oracle-matrix", "d prec^2")
 
 
 def test_hecke_sum_work_cap(capsys):
     # m (w + 1) = 28 * 1099 is refused before B_1099 is computed; 6000 * 5 sits at the cap
+    assert LIMITS["m (w + 1)"] == 6000 * 5
     _assert_precondition(
-        capsys,
-        ("hecke-sum", "--level", "2", "--w", "1098", "--n", "2", "--m", "28"),
-        "m (w + 1) = 28 * 1099 exceeds the cap %d" % MAX_SUM_WORK,
+        capsys, ("hecke-sum", "--level", "2", "--w", "1098", "--n", "2", "--m", "28"), _over_cap("m (w + 1)", "28 * 1099")
     )
     status, out, _ = run_cli(capsys, "hecke-sum", "--level", "2", "--w", "4", "--n", "2", "--m", "6000")
     assert status == 0
     assert json.loads(out)["m"] == 6000
-    with pytest.raises(SystemExit):
-        main(["hecke-sum", "--help"])
-    assert "m (w + 1) <= %d" % MAX_SUM_WORK in " ".join(capsys.readouterr().out.split())
+    assert _help_shows_cap(capsys, "hecke-sum", "m (w + 1)")
 
 
 def test_hankel_size_cap(capsys):
     # refused before the determinant is formed; n = 1 sits far under the cap
+    cap = LIMITS["hankel n"]
     for which in ("1", "2", "3"):
-        _assert_precondition(
-            capsys,
-            ("hankel", "--which", which, "--n", str(MAX_HANKEL_N + 1)),
-            "hankel needs n <= %d, got n=%d" % (MAX_HANKEL_N, MAX_HANKEL_N + 1),
-        )
-    with pytest.raises(SystemExit):
-        main(["hankel", "--help"])
-    assert "n <= %d" % MAX_HANKEL_N in capsys.readouterr().out
+        _assert_precondition(capsys, ("hankel", "--which", which, "--n", str(cap + 1)), _over_cap("hankel n", cap + 1))
+    assert _help_shows_cap(capsys, "hankel", "hankel n")
 
 
 def test_verify_weight_ceilings(capsys):
-    # every suite that takes --max-weight has a ceiling, and only those suites
-    assert set(MAX_VERIFY_WEIGHT) == _BOUNDED
-    for suite, cap in MAX_VERIFY_WEIGHT.items():
-        _assert_precondition(
-            capsys,
-            ("verify", "--suite", suite, "--max-weight", str(cap + 1)),
-            "verify --suite %s needs --max-weight <= %d, got %d" % (suite, cap, cap + 1),
-        )
+    # every suite with a ceiling refuses one more; the ceilings are the LIMITS entries the help prints
+    bounded = {suite: ceiling for suite, (_, ceiling) in SUITES.items() if ceiling is not None}
+    assert set(bounded) == {"bases", "theorem14", "oracle", "assembly", "hecke-relations"}
+    for suite, cap in bounded.items():
+        name = "%s --max-weight" % suite
+        assert LIMITS[name] == cap
+        _assert_precondition(capsys, ("verify", "--suite", suite, "--max-weight", str(cap + 1)), _over_cap(name, cap + 1))
+        assert _help_shows_cap(capsys, "verify", name)
     # a ceiling bounds the suite's own weight only: an unbounded suite ignores the flag, as before
     status, out, _ = run_cli(capsys, "verify", "--suite", "hankel", "--max-weight", "1000")
     assert status == 0
@@ -436,14 +400,12 @@ def test_verify_weight_ceilings(capsys):
     status, out, _ = run_cli(capsys, "verify", "--suite", "theorem14", "--max-weight", "12")
     assert status == 0
     assert out.strip().splitlines()[-1] == "suite theorem14: 3/3 checks passed"
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert "oracle <= %d" % MAX_VERIFY_WEIGHT["oracle"] in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_suite_with_no_checks_is_an_error(capsys):
     # a bound below a suite's first weight builds no checks; "0/0 checks passed" would read as a pass
-    for suite, bound in (("bases", 4), ("oracle", 6)):
+    # hecke-relations starts at w = 6 for both its pair and its prime-square checks
+    for suite, bound in (("bases", 4), ("oracle", 6), ("hecke-relations", 4)):
         _assert_precondition(
             capsys,
             ("verify", "--suite", suite, "--max-weight", str(bound)),

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from heckepoly import qoracle
 from heckepoly.cli import main
 from heckepoly.errors import EmptySpaceError, PrecisionError
 from heckepoly.exactlinalg import ExactMatrix, charpoly, rank, solve_right
@@ -70,6 +71,19 @@ def test_eta_quotient_negative_exponents():
     assert quotient.weight == 12
     product = quotient * eta_quotient([(1, 24)], prec)
     assert product.prefix(prec) == eta_quotient([(2, 48)], prec).prefix(prec)
+
+
+def test_eta_quotient_ignores_parts_that_cancel(monkeypatch):
+    # zero exponents and exponents that sum to zero per delta change neither the series nor its weight,
+    # and cost no sieve work: the padded form makes exactly the range() calls of the plain one
+    ranges = []
+    monkeypatch.setattr(qoracle, "range", lambda *args: ranges.append(args) or range(*args), raising=False)
+    plain = eta_quotient([(1, 8), (2, 8)], 200)
+    plain_ranges, ranges[:] = list(ranges), []
+    padding = [(1, 0)] * 2000 + [(3, 0)] + [(1, 1), (1, -1)] * 500 + [(2, 5), (2, -5), (7, 24), (7, -24)]
+    padded = eta_quotient([(1, 8)] + padding + [(2, 8)], 200)
+    assert (padded.weight, padded.num, padded.den) == (plain.weight, plain.num, plain.den)
+    assert ranges == plain_ranges
 
 
 def test_eta_quotient_guards():
