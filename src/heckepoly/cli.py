@@ -241,6 +241,8 @@ def _cmd_qexp(args):
 
 
 def _cmd_oracle_matrix(args):
+    if args.weight < 4 or args.weight % 2:
+        raise ValueError("weight must be an even integer >= 4, got %d" % args.weight)
     if args.prec < 0:
         raise ValueError("prec must be positive (0 selects the default), got %d" % args.prec)
     prec = args.prec or default_precision(args.weight, args.m)
@@ -331,7 +333,7 @@ def build_parser():
     p.set_defaults(func=_cmd_qexp)
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
-    p.add_argument("--weight", type=int, required=True, help="even; S_weight(Gamma0(2)) needs " + _cap("cusp space dimension"))
+    p.add_argument("--weight", type=int, required=True, help="even, >= 4; S_weight(Gamma0(2)) needs " + _cap("cusp space dimension"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prec", type=int, default=0, help="0: the Sturm-bound default; %s, %s" % (_cap("prec"), _cap("d prec^2")))
     p.set_defaults(func=_cmd_oracle_matrix)

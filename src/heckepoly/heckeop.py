@@ -3,10 +3,10 @@
 Solves the column-action identity ``image[j] = sum_k T[k, j] * base[k]``
 for T_m exactly over the base period polynomials' coefficients; an image
 outside their span is an error, never projected.  S1 and S2 (Gram-style
-pairings, ``gram``) are output only: ``hecke_computation`` forms them,
-``hecke_matrix`` and ``hecke_charpoly`` do not.  Complete for level 2;
-levels 3..5 run in an experimental mode where a failed basis is surfaced,
-never patched.
+pairings, ``gram``) are output only: ``hecke_computation`` forms them, S2
+as S1 T, and ``hecke_matrix`` and ``hecke_charpoly`` do not.  Complete for
+level 2; levels 3..5 run in an experimental mode where a failed basis is
+surfaced, never patched.
 """
 
 from dataclasses import dataclass
@@ -91,7 +91,7 @@ class HeckeComputation:
 
 
 def _solve(level, w, m):
-    """Basis indices, base period polynomials, their T_m images and T, with no Gram pairing."""
+    """Basis indices, base period polynomials and T, with no Gram pairing."""
     if m < 1:
         raise ValueError("m must be positive")
     d = dim_cusp(level, w)
@@ -117,19 +117,21 @@ def _solve(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
-    return indices, base, images, t
+    return indices, base, t
 
 
-def gram(base, images):
-    """S1[i, j] = <base[i], base[j]> and S2[i, j] = <base[i], images[j]>, coefficient dot products."""
+def gram(base, t):
+    """S1[i, j] = <base[i], base[j]>, the coefficient dot product, and S2 = S1 T.
+
+    S2[i, j] = <base[i], image[j]> exactly: ``solve_right`` returns T only once
+    image[j] = sum_k T[k, j] base[k] holds on every coefficient.
+    """
     d = len(base)
     upper = [[coeff_dot(base[i], base[j]) for i in range(j + 1)] for j in range(d)]  # S1 is symmetric: pair i <= j
-    dots = [[upper[max(i, j)][min(i, j)] for i in range(d)] for j in range(d)]
-    dots += [[coeff_dot(bi, img) for bi in base] for img in images]
-    lcm_base = lcm(*(p.den for p in base))  # S[i, j] = dot / (den_i den_j): column j goes over lcm_base den_j
-    columns = [[x * (lcm_base // bi.den) for x, bi in zip(col, base)] for col in dots]
-    dens = [lcm_base * p.den for p in base + images]
-    return ExactMatrix.from_columns(columns[:d], dens[:d]), ExactMatrix.from_columns(columns[d:], dens[d:])
+    lcm_base = lcm(*(p.den for p in base))  # S1[i, j] = dot / (den_i den_j): column j goes over lcm_base den_j
+    columns = [[upper[max(i, j)][min(i, j)] * (lcm_base // base[i].den) for i in range(d)] for j in range(d)]
+    s1 = ExactMatrix.from_columns(columns, [lcm_base * p.den for p in base])
+    return s1, s1 * t
 
 
 def hecke_computation(level, w, m):
@@ -144,8 +146,8 @@ def hecke_computation(level, w, m):
     output only; ``S1^-1 S2^t = S1^-1 T^t S1`` is the adjoint of T_m for that
     product, a similar but different matrix.  Entries are exact rationals.
     """
-    indices, base, images, t = _solve(level, w, m)
-    s1, s2 = gram(base, images)
+    indices, base, t = _solve(level, w, m)
+    s1, s2 = gram(base, t)
     return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
 
 
@@ -155,7 +157,7 @@ def hecke_matrix(level, w, m):
     Column action, as in ``hecke_computation``: ``images[j] = sum_k T[k, j] * base[k]``;
     S1 and S2 are not formed.
     """
-    return _solve(level, w, m)[3]
+    return _solve(level, w, m)[2]
 
 
 def hecke_charpoly(level, w, m):

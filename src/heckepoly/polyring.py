@@ -152,13 +152,7 @@ class BoundedPolynomial:
         return self.den == other.den and all(x == y for x, y in zip_longest(self.num, other.num, fillvalue=0))
 
     def __repr__(self):
-        terms = []
-        for k in range(self.bound, -1, -1):
-            if self.num[k]:
-                c = self.coeff(k)
-                terms.append("%s*X^%d" % (c, k) if k else str(c))
-        body = " + ".join(terms) if terms else "0"
-        return "BoundedPolynomial(%s; bound=%d)" % (body, self.bound)
+        return "BoundedPolynomial(%r, bound=%d)" % ([str(c) for c in self.coeffs], self.bound)
 
 
 def reciprocal_scale(poly, level, w):

@@ -207,24 +207,18 @@ def eisenstein_gamma02(k, cusp, prec):
     return Fraction(2**k, 2**k - 1) * (ek - ek2)
 
 
-def hecke_on_qseries(f, k, m, out_prec=None):
+def hecke_on_qseries(f, k, m):
     """Apply T_m to a weight-k form on Gamma0(2), coefficientwise.
 
     a_n(T_m f) = sum over odd d | gcd(m, n) of d^(k-1) a_{mn/d^2}: the even
     d drop out because 2 divides the level.  The result keeps coefficients
-    0 .. prec(f) // m, or 0 .. out_prec when that is given.
+    0 .. prec(f) // m.
     """
     if f.weight != k:
         raise ValueError("series weight %s does not match k = %d" % (f.weight, k))
     if m < 1:
         raise ValueError("m must be positive")
-    if out_prec is not None and f.prec < m * out_prec:
-        raise PrecisionError(
-            "need %d input coefficients for %d output coefficients under T_%d, have %d"
-            % (m * out_prec, out_prec, m, f.prec),
-            required=m * out_prec,
-        )
-    top = f.prec // m if out_prec is None else out_prec
+    top = f.prec // m
     # a divisor of gcd(m, n) with n >= 1 is at most top; only a_0 != 0 needs every divisor of m
     candidates = divisors(m) if f.num[0] else range(1, top + 1, 2)
     odd = [(d, d ** (k - 1)) for d in candidates if d % 2 and m % d == 0]
@@ -324,7 +318,7 @@ class Theorem14Report:
         )
 
 
-def theorem14_check(k, prec=None):
+def theorem14_check(k):
     """Check that both cusp-product Eisenstein families span the weight-k cusp space.
 
     Builds E0_{2j+2} Einf_{k-2-2j} and E0_{k-2-2j} Einf_{2j+2} for
@@ -336,8 +330,7 @@ def theorem14_check(k, prec=None):
         raise ValueError("k must be an even integer >= 8")
     w = k - 2
     d = dim_cusp(2, w)
-    if prec is None:
-        prec = default_precision(k)
+    prec = default_precision(k)
     basis = cusp_basis_gamma02(k, prec)
     first, second = [], []
     for j in range(1, d + 1):

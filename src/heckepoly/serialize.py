@@ -22,46 +22,31 @@ def poly_json(poly):
     return {"bound": poly.bound, "coeffs": [fraction_str(c) for c in poly.coeffs]}
 
 
-def _terms(coeffs):
-    """Nonzero (power, coefficient) pairs of ascending coefficients, descending by power."""
-    return [(k, c) for k, c in reversed(list(enumerate(coeffs))) if c]
+def _render(coeffs, var, number, power_format, spaced):
+    """Ascending coefficients in descending powers of var: the one loop behind text and LaTeX.
+
+    ``number`` renders |c|, ``power_format % (var, k)`` the power k >= 2, and a coefficient 1 before a power is left
+    out; ``spaced`` gives the text style ``3*X^2 - X + 1``, otherwise LaTeX's juxtaposed ``3X^{2}-X+1``.
+    """
+    parts = []
+    for k, c in reversed(list(enumerate(coeffs))):
+        if not c:
+            continue
+        mag = abs(c)
+        power = "" if k == 0 else var if k == 1 else power_format % (var, k)
+        body = power if power and mag == 1 else number(mag) + ("*" if spaced and power else "") + power
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append((" %s " % sign if spaced and parts else sign) + body)
+    return "".join(parts) or "0"
 
 
 def poly_text(poly):
     """Human-readable rendering, descending powers."""
-    terms = _terms(poly.coeffs)
-    if not terms:
-        return "0"
-    parts = []
-    for idx, (k, c) in enumerate(terms):
-        sign = "-" if c < 0 else ("+" if idx else "")
-        mag = abs(c)
-        if k == 0:
-            body = fraction_str(mag)
-        else:
-            var = "X" if k == 1 else "X^%d" % k
-            body = var if mag == 1 else "%s*%s" % (fraction_str(mag), var)
-        parts.append((sign + " " if sign and idx else sign) + body)
-    return " ".join(parts)
-
-
-def _latex(coeffs, var):
-    """LaTeX for ascending coefficients, descending powers of var."""
-    parts = []
-    for k, c in _terms(coeffs):
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if k == 0:
-            body = fraction_latex(mag)
-        else:
-            power = var if k == 1 else "%s^{%d}" % (var, k)
-            body = power if mag == 1 else fraction_latex(mag) + power
-        parts.append(sign + body)
-    return "".join(parts) or "0"
+    return _render(poly.coeffs, "X", fraction_str, "%s^%d", True)
 
 
 def poly_latex(poly):
-    return _latex(poly.coeffs, "X")
+    return _render(poly.coeffs, "X", fraction_latex, "%s^{%d}", False)
 
 
 def _ratio_str(x, den):
@@ -75,11 +60,8 @@ def matrix_json(mat):
 
 
 def matrix_text(mat):
-    widths = [0] * mat.cols
     cells = [[fraction_str(x) for x in row] for row in mat.entries]
-    for row in cells:
-        for j, s in enumerate(row):
-            widths[j] = max(widths[j], len(s))
+    widths = [max(map(len, col)) for col in zip(*cells)]
     return "\n".join("[ " + "  ".join(s.rjust(widths[j]) for j, s in enumerate(row)) + " ]" for row in cells)
 
 
@@ -94,4 +76,4 @@ def coeffs_json(coeffs):
 
 def charpoly_latex(coeffs):
     """Monic polynomial in x from ascending coefficients."""
-    return _latex(coeffs, "x")
+    return _render(coeffs, "x", fraction_latex, "%s^{%d}", False)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,15 @@ def test_oracle_matrix_negative_prec(capsys):
     assert "prec must be positive" in error["message"]
 
 
+def test_oracle_matrix_weight_must_be_even_and_at_least_4(capsys):
+    for weight in (7, 2, -4):
+        argv = ("oracle-matrix", "--weight", str(weight), "--m", "2")
+        _assert_precondition(capsys, argv, "weight must be an even integer >= 4, got %d" % weight)
+    for weight in (4, 6):
+        status, out, err = run_cli(capsys, "oracle-matrix", "--weight", str(weight), "--m", "2")
+        assert (status, out, json.loads(err)["error"]["code"]) == (1, "", "EmptySpace")
+
+
 def test_hankel(capsys):
     status, out, _ = run_cli(capsys, "hankel", "--which", "1", "--n", "1")
     assert status == 0
@@ -418,7 +428,7 @@ def test_only_hecke_matrix_json_forms_s1_and_s2(capsys, monkeypatch):
 
     gram, calls = heckeop.gram, []
 
-    def failing_gram(base, images):
+    def failing_gram(base, t):
         pytest.fail("S1/S2 formed on a T-only path")
 
     monkeypatch.setattr(heckeop, "gram", failing_gram)
@@ -429,9 +439,9 @@ def test_only_hecke_matrix_json_forms_s1_and_s2(capsys, monkeypatch):
     assert run_cli(capsys, "hecke-matrix", *args, "--format", "text")[0] == 0
     assert run_cli(capsys, "hecke-matrix", *args, "--format", "latex")[0] == 0
 
-    def counting_gram(base, images):
+    def counting_gram(base, t):
         calls.append(len(base))
-        return gram(base, images)
+        return gram(base, t)
 
     monkeypatch.setattr(heckeop, "gram", counting_gram)
     status, out, _ = run_cli(capsys, "hecke-matrix", *args)
@@ -450,3 +460,42 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     monkeypatch.undo()
     # a fresh parser renders the same help as the reused one
     assert cli.build_parser().format_help() == built.format_help()
+
+
+# SHA-256 of the concatenated stdout over each grid, recorded before S2 became S1 T and the text and
+# LaTeX renderers became one: every printed polynomial and matrix must stay byte-identical
+_PERIOD_GRID = [
+    ("--level", str(level), "--w", str(w), "--n", str(n), "--sign", "plus" if n % 2 else "minus")
+    for level in (2, 3, 4)
+    for w in (6, 10)
+    for n in range(1, w)
+]
+_HECKE_GRID = [("--level", str(level), "--w", str(w), "--m", str(m)) for level in (2, 3, 4, 5) for w in (12, 16) for m in (2, 3)]
+_FORMAT_HASHES = {
+    ("period-poly", "text"): "16e4a6f865a566fec6b5c66c3be81ffc26eb4fc5d5abeac9a9db3401ccbe24cf",
+    ("period-poly", "latex"): "ff94790b1a429eeed237a5daa5d5481de98ff57d944798f1a8dc9364c477f689",
+    ("hecke-matrix", "text"): "3d4e1f8a144e8e33c2e5e645b25160b22b1f26c786c4120135517aa7ee521ff8",
+    ("hecke-matrix", "latex"): "cac4565c3433489e656a22fb79e175698daca87ca4d85b063779f1948bef2ba8",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_FORMAT_HASHES))
+def test_text_and_latex_stdout_hashes(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for args in _PERIOD_GRID if command == "period-poly" else _HECKE_GRID:
+        status, out, _ = run_cli(capsys, command, *args, "--format", fmt)
+        assert status == 0, args
+        digest.update(out.encode())
+    assert digest.hexdigest() == _FORMAT_HASHES[command, fmt]
+
+
+def test_readme_cli_examples_run(capsys):
+    # every "heckepoly ..." line of the README's sh blocks, so the documented examples cannot drift
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("heckepoly ")]
+    assert len(commands) >= 11
+    for argv in commands:
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, ""), argv
+        assert out

@@ -173,8 +173,9 @@ def test_error_paths():
 
 
 def test_integer_gram_and_solve_match_rational_pipeline():
-    # S1/S2 against a Fraction dot product of the coefficient lists (not coeff_inner_product,
-    # which builds them), T against the explicit inverse, and S1 T = S2 directly, on levels 2..5
+    # S1/S2 against a Fraction dot product of the coefficient lists (not coeff_inner_product, which
+    # builds S1; gram forms S2 as S1 T, so the pairing with the images is S2's independent check),
+    # T against the explicit inverse, and S1 T = S2 directly, on levels 2..5
     def dot(f, g):
         return sum(a * b for a, b in zip(f.coeffs, g.coeffs))
 
