@@ -1,10 +1,9 @@
 """Exact number-theoretic primitives.
 
-Bernoulli numbers (convention B_1 = -1/2), scaled sums of the even-index-only
-Bernoulli polynomials B^0_k built on weighted integer power sums, divisor
-power sums, the Moebius function, and one trial-division
-factorization behind the prime-divisor helpers.  Everything is exact;
-nothing here ever rounds.
+Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli
+polynomials B^0_k, weighted integer power sums, divisor power sums, the
+Moebius function, and one trial-division factorization behind the
+prime-divisor helpers.  Everything is exact; nothing here ever rounds.
 """
 
 from fractions import Fraction
@@ -44,26 +43,26 @@ def bernoulli_number(k):
     return cache[k]
 
 
-def bernoulli_poly0(k, terms=((1, 1),)):
-    """Sum of c*B^0_k(aX) over the integer pairs (c, a) in terms; B^0_k itself by default.
+def power_sums(terms, k):
+    """[sum of c*a^e over the integer pairs (c, a) in terms] for e = 0..k."""
+    rows = [accumulate(repeat(a, k), mul, initial=c) for c, a in terms]  # c*a^e, e = 0..k
+    return list(map(sum, zip(*rows))) if rows else [0] * (k + 1)
 
-    B^0_k(x) = sum over even i, 0 <= i <= k, of C(k,i) B_i x^(k-i) is the k-th
-    Bernoulli polynomial without its B_1 term, so the X^(k-i) coefficient of
-    the sum is C(k,i) B_i times the integer power sum of c*a^(k-i); the numerators
-    are built in integers over the lcm of the denominators of those B_i.  The bound
-    is k, B^0_k itself has degree exactly k, and nothing depends on the B_1
-    convention.
+
+def bernoulli_poly0(k):
+    """B^0_k(X) = sum over even i, 0 <= i <= k, of C(k,i) B_i X^(k-i).
+
+    This is the k-th Bernoulli polynomial without its B_1 term, so nothing
+    depends on the B_1 convention; the bound is k and the degree exactly k.
+    The numerators are integers over the lcm of the denominators of those B_i.
+    This is the package's one source of Bernoulli polynomials.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    rows = [accumulate(repeat(a, k), mul, initial=c) for c, a in terms]  # c*a^e, e = 0..k
-    sums = list(map(sum, zip(*rows))) if rows else [0] * (k + 1)
-    evens = range(0, k + 1, 2)
-    bs = [bernoulli_number(i) for i in evens]
+    bs = [bernoulli_number(i) for i in range(0, k + 1, 2)]  # even-i B_i, at X^(k-i); a cache slice may be short
     den = lcm(*(b.denominator for b in bs))
     num = [0] * (k + 1)
-    for i, b in zip(evens, bs):
-        num[k - i] = comb(k, i) * b.numerator * (den // b.denominator) * sums[k - i]
+    num[k::-2] = [comb(k, 2 * j) * b.numerator * (den // b.denominator) for j, b in enumerate(bs)]
     return BoundedPolynomial._over(num, den)
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .exactlinalg import ExactMatrix, charpoly, solve_right
 from .heckesum import hecke_images
-from .periodpoly import PeriodContext, r_plus_odd, s_poly
+from .periodpoly import PeriodContext, r_plus_odd, require_weight, s_poly
 from .polyring import coeff_dot
 
 # (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
@@ -33,8 +33,7 @@ _BASIS_VARIANTS = ("even_low", "even_high", "odd_low", "odd_high")
 
 def dim_cusp(level, w):
     """Dimension of the weight-(w+2) cusp space on Gamma0(level), level in {2..5}."""
-    if w < 2 or w % 2:
-        raise ValueError("w must be an even integer >= 2")
+    require_weight(w)
     if level not in _ELLIPTIC_CUSPS:
         raise LevelError("level %d unsupported (need 2..5)" % level)
     nu2, nu3, cusps = _ELLIPTIC_CUSPS[level]
@@ -102,8 +101,7 @@ def _solve(level, w, m):
         raise BasisDeficientError(
             "dimension %d exceeds the %d even period indices available at w = %d" % (d, (w - 2) // 2, w)
         )
-    base = [s_poly(PeriodContext(level, w, n)) for n in indices]
-    images = hecke_images(level, w, indices, m)
+    base, images = hecke_images(level, w, indices, m)
     try:
         # column k of B (of C) is the coefficient vector of base[k] (of image[k]), over its denominator
         b, c = (ExactMatrix.from_columns([p.num for p in polys], [p.den for p in polys]) for polys in (base, images))

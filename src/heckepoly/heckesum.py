@@ -21,19 +21,19 @@ the integer sum of the per-matrix coefficients.
 
 Every power is read from one table x^0..x^w, x < m, and the divisor power
 sums never depend on n, so ``sign_restricted_sum`` serves a list of indices
-from one pass; ``hecke_images`` corrects the images of a whole period basis.
+from one pass.  The diagonal part and the Moebius correction are, like s_poly,
+``periodpoly.period_sum`` passes over the index's two Bernoulli rows.
 """
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, sigma
-from .periodpoly import PeriodContext, _require_interior
-from .polyring import BoundedPolynomial, reciprocal_scale
+from .exactnum import divisors, moebius, sigma
+from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period_sum
+from .polyring import BoundedPolynomial
 
 
 class IntMat2(NamedTuple):
@@ -137,17 +137,24 @@ def sign_restricted_sum(level, w, ns, m):
     return [BoundedPolynomial._over(acc, 1) for acc in accs]
 
 
+def _diagonal_pairs(level, m):
+    return [(a, m // a) for a in divisors(m) if gcd(a, level) == 1]
+
+
+def _moebius_terms(ctx, m):
+    # X^w B^0_{n+1}(me/(cNX)), e | N, c | m/N, weighs mu(N/e) c^nt N^nt (N/e)^n; period_sum supplies N^nt
+    n, nt, level = ctx.n, ctx.ntilde, ctx.level
+    weights = [(moebius(level // e) * (level // e) ** n, e) for e in divisors(level)]
+    return [(weight * c**nt, m * e // (c * level)) for weight, e in weights for c in divisors(m // level)]
+
+
 def diagonal_sum(ctx, m):
     """Sum over ad = m, a > 0, gcd(a, level) = 1 of the two reciprocal/Bernoulli terms.
 
-    Each pair contributes a^n N^nt/(nt+1) X^w B^0_{nt+1}(d/(NX)) - d^nt/(n+1) B^0_{n+1}(aX)
-    (N the level), so the whole sum is two scaled Bernoulli sums; at m = 1 it is s_poly.
+    Each pair contributes a^n N^nt/(nt+1) X^w B^0_{nt+1}(d/(NX)) - d^nt/(n+1) B^0_{n+1}(aX) (N the level);
+    ``period_sum`` adds them in one pass.  At m = 1 the only pair is (1, 1): diagonal_sum(ctx, 1) is s_poly(ctx).
     """
-    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
-    pairs = [(a, m // a) for a in divisors(m) if gcd(a, level) == 1]
-    first = reciprocal_scale(bernoulli_poly0(nt + 1, [(a**n, d) for a, d in pairs]), level, w)
-    second = bernoulli_poly0(n + 1, [(d**nt, a) for a, d in pairs]).with_bound(w)
-    return Fraction(level**nt, nt + 1) * first - Fraction(1, n + 1) * second
+    return period_sum(ctx, bernoulli_rows(ctx), _diagonal_pairs(ctx.level, m))
 
 
 def s_poly_m(ctx, m):
@@ -159,27 +166,16 @@ def s_poly_m(ctx, m):
 
 
 def moebius_correction(ctx, m):
-    """The extra term of the corrected odd period polynomial when level | m.
-
-    Returns the signed addend, i.e. r_minus_hecke = s_poly_m + moebius_correction.
-    """
-    n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
-    if m % level:
+    """The signed extra term of the corrected odd period polynomial, level | m: r_minus_hecke - s_poly_m."""
+    if m % ctx.level:
         raise ValueError("correction only applies when level | m")
-    # X^w B^0_{n+1}(me/(cNX)), e | N, c | m/N, has weight mu(N/e) c^nt N^w/e^n = mu(N/e) c^nt N^nt (N/e)^n
-    terms = [
-        (moebius(level // e) * c**nt * (level // e) ** n, m * e // (c * level))
-        for e in divisors(level)
-        for c in divisors(m // level)
-    ]
-    return -Fraction(level**nt, n + 1) * reciprocal_scale(bernoulli_poly0(n + 1, terms), level, w)
+    return period_sum(ctx, bernoulli_rows(ctx), [], _moebius_terms(ctx, m))
 
 
 def hecke_images(level, w, ns, m):
-    """Corrected odd period polynomials of the index-m form for every even index n in ns.
+    """(bases, images) at the even indices ns: s_poly, and s_poly_m plus the Moebius correction when level | m.
 
-    Each is s_poly_m plus, when level | m, the Moebius correction; the sign
-    sums of all the indices come from one sign_restricted_sum pass.
+    One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts.
     """
     ctxs = [PeriodContext(level, w, n) for n in ns]
     for ctx in ctxs:
@@ -188,16 +184,18 @@ def hecke_images(level, w, ns, m):
         _require_interior(ctx)
     if m < 1:
         raise ValueError("m must be positive")
-    signed = sign_restricted_sum(level, w, ns, m)
-    images = [part + diagonal_sum(ctx, m) for part, ctx in zip(signed, ctxs)]
-    if m % level == 0:
-        images = [image + moebius_correction(ctx, m) for image, ctx in zip(images, ctxs)]
-    return images
+    signed, pairs = sign_restricted_sum(level, w, ns, m), _diagonal_pairs(level, m)
+    bases, images = [], []
+    for ctx, part in zip(ctxs, signed):
+        rows = bernoulli_rows(ctx)
+        bases.append(period_sum(ctx, rows, [(1, 1)]))
+        images.append(part + period_sum(ctx, rows, pairs, _moebius_terms(ctx, m) if m % level == 0 else ()))
+    return bases, images
 
 
 def r_minus_hecke(ctx, m):
     """Odd period polynomial of the index-m form: s_poly_m, corrected when level | m."""
-    return hecke_images(ctx.level, ctx.w, [ctx.n], m)[0]
+    return hecke_images(ctx.level, ctx.w, [ctx.n], m)[1][0]
 
 
 def eigenvalue_w6(m):

@@ -16,11 +16,17 @@ stored rational normalizer is c_rat = (-1)^n * C(w, n).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_number, bernoulli_poly0, prime_divisors
-from .polyring import BoundedPolynomial, reciprocal_scale
+from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors
+from .polyring import BoundedPolynomial
+
+
+def require_weight(w):
+    """The weight parameter w of every period and Hecke computation: an even integer >= 2."""
+    if w < 2 or w % 2:
+        raise ValueError("w must be an even integer >= 2, got %d" % w)
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,7 @@ class PeriodContext:
     def __post_init__(self):
         if self.level < 2:
             raise ValueError("level must be >= 2")
-        if self.w <= 0 or self.w % 2:
-            raise ValueError("w must be a positive even integer")
+        require_weight(self.w)
         if not 0 <= self.n <= self.w:
             raise ValueError("n must satisfy 0 <= n <= w")
 
@@ -62,13 +67,42 @@ def _require_interior(ctx):
         raise ValueError("need 0 < n < w, got n=%d, w=%d" % (ctx.n, ctx.w))
 
 
-def s_poly(ctx):
-    """S_{N,w,n}(X) = (N^nt/(nt+1)) X^w B^0_{nt+1}(1/(NX)) - (1/(n+1)) B^0_{n+1}(X)."""
+def bernoulli_rows(ctx):
+    """B^0_(nt+1) and B^0_(n+1), each an integer row over one denominator: every period sum at ctx reads them."""
+    return bernoulli_poly0(ctx.ntilde + 1), bernoulli_poly0(ctx.n + 1)
+
+
+def period_sum(ctx, rows, pairs, terms=()):
+    """Sum of the Bernoulli terms over pairs and terms, in one integer pass over the rows (r1, D1), (r2, D2) of ctx.
+
+    A pair (a, d) adds a^n N^nt/(nt+1) X^w B^0_(nt+1)(d/(NX)) - d^nt/(n+1) B^0_(n+1)(aX), a term (c, x) adds
+    -c N^nt/(n+1) X^w B^0_(n+1)(x/(NX)) (N the level): X^(w-e) gets r1[e] N^(nt-e) (sum of a^n d^e) / ((nt+1) D1)
+    - r2[e] N^(nt-e) (sum of c x^e) / ((n+1) D2), X^e gets -r2[e] (sum of d^nt a^e) / ((n+1) D2), all over one
+    denominator N^s lcm((nt+1) D1, (n+1) D2), s >= 1 the least shift making every N^(nt-e+s) an integer.
+    """
     _require_interior(ctx)
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
-    first = Fraction(level**nt, nt + 1) * reciprocal_scale(bernoulli_poly0(nt + 1), level, w)
-    second = Fraction(1, n + 1) * bernoulli_poly0(n + 1).with_bound(w)
-    return first - second
+    (r1, d1), (r2, d2) = ((p.num, p.den) for p in rows)
+    shift = max(1, n + 1 - nt) if terms else 1
+    common = lcm((nt + 1) * d1, (n + 1) * d2)
+    u, v = common // ((nt + 1) * d1), common // ((n + 1) * d2)
+    num = [0] * (w + 1)
+    a_sums = power_sums([(a**n, d) for a, d in pairs], nt + 1)
+    for e in range(nt + 1, -1, -2):
+        num[w - e] += u * r1[e] * a_sums[e] * level ** (nt + shift - e)
+    d_sums = power_sums([(d**nt, a) for a, d in pairs], n + 1)
+    for e in range(n + 1, -1, -2):
+        num[e] -= v * r2[e] * d_sums[e] * level**shift
+    if terms:
+        c_sums = power_sums(terms, n + 1)
+        for e in range(n + 1, -1, -2):
+            num[w - e] -= v * r2[e] * c_sums[e] * level ** (nt + shift - e)
+    return BoundedPolynomial._over(num, common * level**shift)
+
+
+def s_poly(ctx):
+    """S_{N,w,n}(X) = (N^nt/(nt+1)) X^w B^0_{nt+1}(1/(NX)) - (1/(n+1)) B^0_{n+1}(X): the diagonal sum at m = 1."""
+    return period_sum(ctx, bernoulli_rows(ctx), [(1, 1)])
 
 
 def r_plus_odd(ctx):

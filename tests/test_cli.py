@@ -499,3 +499,54 @@ def test_readme_cli_examples_run(capsys):
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, ""), argv
         assert out
+
+
+_W_ARGS = {
+    "period-poly": ("--level", "2", "--n", "1", "--sign", "minus"),
+    "hecke-sum": ("--level", "2", "--n", "1", "--m", "2"),
+    "hecke-matrix": ("--level", "2", "--m", "2"),
+    "charpoly": ("--level", "2", "--m", "2"),
+}
+
+
+@pytest.mark.parametrize("w", [-4, 0, 7])
+@pytest.mark.parametrize("command", list(_W_ARGS))
+def test_w_precondition_is_one_message(capsys, command, w):
+    # PeriodContext and dim_cusp check w with one helper, so every command states it the same way
+    status, out, err = run_cli(capsys, command, *_W_ARGS[command], "--w", str(w))
+    assert (status, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error == {"code": "PreconditionViolated", "message": "w must be an even integer >= 2, got %d" % w}
+
+
+# SHA-256 of status, stdout and stderr over each grid, recorded before the period basis and the diagonal part
+# of its images were built from one pair of Bernoulli rows per index: hecke-sum at every interior n (odd n
+# included: --raw answers them, the corrected sum refuses them) and period-poly at level 5 must stay
+# byte-identical, errors included
+_SUM_GRID = [
+    ("--level", str(level), "--w", str(w), "--n", str(n), "--m", str(m))
+    for level in (2, 3, 4, 5)
+    for w in (6, 10, 16)
+    for n in range(1, w)
+    for m in (1, 2, 4, 6, 12, 25)
+]
+_LEVEL5_GRID = [
+    ("--level", "5", "--w", str(w), "--n", str(n), "--sign", sign)
+    for w in (6, 10, 16)
+    for n in range(1, w)
+    for sign in ("plus", "minus")
+]
+_RUN_HASHES = {
+    ("hecke-sum", "--raw"): "58cf04701145fa12de94893f5817ff2ae475bde40d39db93e42fb5687e07eb3b",
+    ("hecke-sum", "--corrected"): "db13e68fbf3ee6435aea0c2e35b7c4c87585e07bb0b09816e6f88ea35250b027",
+    ("period-poly", "--format=json"): "087c22800d1acf463484d514cbf5b56fae6ae98a4d2c1072ca2ba6592b0c8758",
+}
+
+
+@pytest.mark.parametrize("command, mode", list(_RUN_HASHES))
+def test_hecke_sum_and_level5_period_poly_hashes(capsys, command, mode):
+    digest = hashlib.sha256()
+    for args in _SUM_GRID if command == "hecke-sum" else _LEVEL5_GRID:
+        status, out, err = run_cli(capsys, command, *args, mode)
+        digest.update(("%d\n%s\n%s\n" % (status, out, err)).encode())
+    assert digest.hexdigest() == _RUN_HASHES[command, mode]

@@ -1,16 +1,20 @@
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 
+from heckepoly import exactnum
 from heckepoly.exactnum import (
     bernoulli_number,
     bernoulli_poly0,
     divisors,
     factorize,
     moebius,
+    power_sums,
     prime_divisors,
     sigma,
 )
@@ -47,6 +51,43 @@ def test_bernoulli_cache_thread_safety():
     assert results[0] == bernoulli_number(200)
 
 
+def test_bernoulli_poly0_cache_thread_safety(monkeypatch):
+    # a thread that began extending the cache earlier may finish later and rebind it to a shorter copy, at
+    # any step of another thread's read; in worker threads reading whole rows and Bernoulli numbers at mixed
+    # k, a tracer that rebinds the shortest copy before every line run in exactnum stands in for that thread
+    short = exactnum._bernoulli_cache[:2]
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", short)
+
+    def rebind_short(frame, event, arg):
+        if frame.f_globals is not vars(exactnum):
+            return None
+        exactnum._bernoulli_cache = short
+        return rebind_short
+
+    def read(k):
+        previous = sys.gettrace()
+        sys.settrace(rebind_short)
+        try:
+            return bernoulli_poly0(k) if k % 2 else bernoulli_number(k)
+        finally:
+            sys.settrace(previous)
+
+    ks = list(range(2, 48))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        rows = list(pool.map(read, ks))
+    for k, row in zip(ks, rows):
+        if k % 2:
+            assert row.coeffs == [comb(k, e) * bernoulli_number(k - e) if (k - e) % 2 == 0 else 0 for e in range(k + 1)]
+        else:
+            assert row == bernoulli_number(k), k
+
+
+def _weighted_bernoulli_poly0(k, terms):
+    # sum of c*B^0_k(aX) over (c, a) in terms, as periodpoly.period_sum weights a row: per power, by power_sums
+    row = bernoulli_poly0(k)
+    return BoundedPolynomial._over(list(map(mul, row.num, power_sums(terms, k))), row.den)
+
+
 def test_bernoulli_poly0_examples():
     assert bernoulli_poly0(3) == BoundedPolynomial([0, Fraction(1, 2), 0, 1])
     assert bernoulli_poly0(0) == BoundedPolynomial([1])
@@ -69,10 +110,10 @@ def test_bernoulli_poly0_terms_are_scaled_sums():
             want = BoundedPolynomial.zero(k)
             for c, a in terms:
                 want = want + c * compose_linear(bernoulli_poly0(k), a, 0)
-            got = bernoulli_poly0(k, terms)
+            got = _weighted_bernoulli_poly0(k, terms)
             assert got == want
             assert got.bound == k
-    assert bernoulli_poly0(6, []) == BoundedPolynomial.zero(6)
+    assert _weighted_bernoulli_poly0(6, []) == BoundedPolynomial.zero(6)
 
 
 def test_bernoulli_poly0_matches_fraction_coefficients():
@@ -82,7 +123,7 @@ def test_bernoulli_poly0_matches_fraction_coefficients():
         want = [Fraction(0)] * (k + 1)
         for i in range(0, k + 1, 2):
             want[k - i] = comb(k, i) * bernoulli_number(i) * sum(c * a ** (k - i) for c, a in terms)
-        got = bernoulli_poly0(k, terms)
+        got = _weighted_bernoulli_poly0(k, terms)
         assert got.coeffs == want and got.bound == k, k
         assert got.den == lcm(*(x.denominator for x in want)), k
 

@@ -191,13 +191,14 @@ def test_integer_gram_and_solve_match_rational_pipeline():
 
 
 def test_dependent_basis_names_rank(monkeypatch):
-    real_s_poly = heckeop.s_poly
+    real_hecke_images = heckeop.hecke_images
 
-    def repeated(ctx):
+    def repeated(level, w, ns, m):
         # every basis slot gets the index-2 polynomial: S1 has rank 1
-        return real_s_poly(PeriodContext(ctx.level, ctx.w, 2))
+        bases, images = real_hecke_images(level, w, ns, m)
+        return [bases[ns.index(2)]] * len(ns), images
 
-    monkeypatch.setattr(heckeop, "s_poly", repeated)
+    monkeypatch.setattr(heckeop, "hecke_images", repeated)
     with pytest.raises(BasisDeficientError, match=r"dependent \(rank 1\)"):
         hecke_computation(2, 14, 2)
 
@@ -208,8 +209,8 @@ def test_image_outside_span_is_basis_deficient(monkeypatch):
     real_hecke_images = heckeop.hecke_images
 
     def off_span(level, w, ns, m):
-        images = real_hecke_images(level, w, ns, m)
-        return [img + BoundedPolynomial.monomial(2, bound=w) if n == 4 else img for n, img in zip(ns, images)]
+        bases, images = real_hecke_images(level, w, ns, m)
+        return bases, [img + BoundedPolynomial.monomial(2, bound=w) if n == 4 else img for n, img in zip(ns, images)]
 
     monkeypatch.setattr(heckeop, "hecke_images", off_span)
     with pytest.raises(BasisDeficientError, match=r"T_2 image leaves the span .* level 2, w = 14"):
@@ -224,8 +225,8 @@ def test_image_outside_span_in_a_late_row_is_basis_deficient(monkeypatch):
     eliminated = []
 
     def off_span(level, w, ns, m):
-        images = real_hecke_images(level, w, ns, m)
-        return [img + BoundedPolynomial.monomial(12, bound=w) if n == 4 else img for n, img in zip(ns, images)]
+        bases, images = real_hecke_images(level, w, ns, m)
+        return bases, [img + BoundedPolynomial.monomial(12, bound=w) if n == 4 else img for n, img in zip(ns, images)]
 
     def counting(work, pivot_cols):
         eliminated.append(len(work))

@@ -11,6 +11,7 @@ from heckepoly.heckesum import (
     diagonal_sum,
     eigenvalue_w6,
     enumerate_H_neg,
+    hecke_images,
     moebius_correction,
     r_minus_hecke,
     s_poly_m,
@@ -175,14 +176,29 @@ def _moebius_correction_by_composition(ctx, m):
 
 
 def test_scaled_sums_match_binomial_expansion():
-    # odd n reaches diagonal_sum through hecke-sum --raw
+    # every interior n at w = 6 and 10, odd n included (hecke-sum --raw reaches diagonal_sum with them)
+    cases = [(w, n) for w in (6, 10) for n in range(1, w)] + [(14, 6), (8, 3), (12, 7)]
     for level in (2, 3, 4, 5, 6, 7):
-        for w, n in ((6, 2), (10, 4), (14, 6), (8, 3), (12, 7)):
+        for w, n in cases:
             ctx = PeriodContext(level, w, n)
-            for m in (1, 2, 6, 12, 30, 210, 240, 256):
-                assert diagonal_sum(ctx, m) == _diagonal_sum_by_composition(ctx, m)
+            for m in (1, 2, 4, 6, 12, 30, 210, 240, 256):
+                assert diagonal_sum(ctx, m) == _diagonal_sum_by_composition(ctx, m), (level, w, n, m)
                 if m % level == 0:
-                    assert moebius_correction(ctx, m) == _moebius_correction_by_composition(ctx, m)
+                    assert moebius_correction(ctx, m) == _moebius_correction_by_composition(ctx, m), (level, w, n, m)
+
+
+def test_hecke_images_pairs_each_base_with_its_image():
+    # one pair of Bernoulli rows per index serves both: the base is s_poly, the image s_poly_m plus the
+    # Moebius correction when level | m, for several indices in one call
+    for level in (2, 3, 4, 5, 6, 7):
+        for m in (1, 4, 6, 12, 30):
+            bases, images = hecke_images(level, 10, [2, 4, 6, 8], m)
+            for n, base, image in zip((2, 4, 6, 8), bases, images):
+                ctx = PeriodContext(level, 10, n)
+                correction = moebius_correction(ctx, m) if m % level == 0 else BoundedPolynomial.zero(10)
+                assert base == s_poly(ctx), (level, n, m)
+                want = _sign_restricted_sum_by_matrices(ctx, m) + diagonal_sum(ctx, m) + correction
+                assert image == want, (level, n, m)
 
 
 def test_diagonal_sum_at_index_one_is_s_poly():
