@@ -28,7 +28,13 @@ from .polyring import coeff_dot
 # dim S_k = 1 - k + nu2 [k/4] + nu3 [k/3] + cusps (k/2 - 1) (Diamond-Shurman, Thm 3.5.1)
 _ELLIPTIC_CUSPS = {2: (1, 0, 2), 3: (0, 1, 2), 4: (0, 0, 3), 5: (2, 0, 2)}
 
-_BASIS_VARIANTS = ("even_low", "even_high", "odd_low", "odd_high")
+# basis variant -> (period polynomial builder, row i -> index n, column j -> power of X), as in basis_matrix
+_BASIS_VARIANTS = {
+    "even_low": (s_poly, lambda w, i: 2 * i, lambda w, j: w - 2 * j + 1),
+    "even_high": (s_poly, lambda w, i: w - 2 * i, lambda w, j: 2 * j - 1),
+    "odd_low": (r_plus_odd, lambda w, i: 2 * i - 1, lambda w, j: w - 2 * j),
+    "odd_high": (r_plus_odd, lambda w, i: w - 2 * i + 1, lambda w, j: 2 * j),
+}
 
 
 def dim_cusp(level, w):
@@ -52,25 +58,13 @@ def basis_matrix(w, which):
     * ``odd_high``:  coeff of X^(2j)     in the even polynomial of index w-2i+1
     """
     if which not in _BASIS_VARIANTS:
-        raise ValueError("which must be one of %s" % (_BASIS_VARIANTS,))
+        raise ValueError("which must be one of %s" % (tuple(_BASIS_VARIANTS),))
+    build, index, power = _BASIS_VARIANTS[which]
     d = dim_cusp(2, w)
     if d == 0:
         return ExactMatrix([], cols=0)
-    rows = []
-    for i in range(1, d + 1):
-        if which == "even_low":
-            poly = s_poly(PeriodContext(2, w, 2 * i))
-            rows.append([poly.coeff(w - 2 * j + 1) for j in range(1, d + 1)])
-        elif which == "even_high":
-            poly = s_poly(PeriodContext(2, w, w - 2 * i))
-            rows.append([poly.coeff(2 * j - 1) for j in range(1, d + 1)])
-        elif which == "odd_low":
-            poly = r_plus_odd(PeriodContext(2, w, 2 * i - 1))
-            rows.append([poly.coeff(w - 2 * j) for j in range(1, d + 1)])
-        else:
-            poly = r_plus_odd(PeriodContext(2, w, w - 2 * i + 1))
-            rows.append([poly.coeff(2 * j) for j in range(1, d + 1)])
-    return ExactMatrix(rows)
+    polys = [build(PeriodContext(2, w, index(w, i))) for i in range(1, d + 1)]
+    return ExactMatrix([[poly.coeff(power(w, j)) for j in range(1, d + 1)] for poly in polys])
 
 
 @dataclass

@@ -331,29 +331,24 @@ def theorem14_check(k):
     w = k - 2
     d = dim_cusp(2, w)
     prec = default_precision(k)
-    basis = cusp_basis_gamma02(k, prec)
-    first, second = [], []
-    for j in range(1, d + 1):
-        e0_low = eisenstein_gamma02(2 * j + 2, "zero", prec)
-        einf_high = eisenstein_gamma02(w - 2 * j, "infinity", prec)
-        e0_high = eisenstein_gamma02(w - 2 * j, "zero", prec)
-        einf_low = eisenstein_gamma02(2 * j + 2, "infinity", prec)
-        first.append(e0_low * einf_high)
-        second.append(e0_high * einf_low)
-    nrows = prec
-    basis_mat = _coefficient_matrix(basis, nrows)
+    basis_mat = _coefficient_matrix(cusp_basis_gamma02(k, prec), prec)
 
-    def family_report(family):
+    def family_report(low, high):
+        """Cuspidality and rank of E_low(2j+2) E_high(w-2j), j = 1..d, for the cusps low and high."""
+        family = [
+            eisenstein_gamma02(2 * j + 2, low, prec) * eisenstein_gamma02(w - 2 * j, high, prec)
+            for j in range(1, d + 1)
+        ]
         cuspidal = all(f.is_cuspidal() for f in family)
-        fam_mat = _coefficient_matrix(family, nrows)
+        fam_mat = _coefficient_matrix(family, prec)
         try:
             solve_right(basis_mat, fam_mat)
         except (UnderdeterminedSystemError, InconsistentSystemError):
             cuspidal = False
         return cuspidal, rank(fam_mat)
 
-    cusp_first, rank_first = family_report(first)
-    cusp_second, rank_second = family_report(second)
+    cusp_first, rank_first = family_report("zero", "infinity")
+    cusp_second, rank_second = family_report("infinity", "zero")
     return Theorem14Report(
         k=k,
         dim=d,
