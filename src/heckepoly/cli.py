@@ -54,7 +54,8 @@ LIMITS = {
     "index m": 256,
     # qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
     "eta sum |r|": 300,
-    # oracle-matrix is steepest at the dimension cap: 3.0-3.9 s at weight 164 (d = 40), m = 2, prec 295
+    # oracle-matrix at m = 2: 0.65-0.86 s at weight 162 (d = 39), prec 299, 0.30-0.32 s at weight 12, prec 1322;
+    # a larger m adds charpoly time: 1.7-1.8 s at weight 164 (d = 40), m = 7, prec 295
     "d prec^2": 3_500_000,
     # B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
     "Bernoulli index": 1100,

@@ -2,13 +2,13 @@
 
 Truncated q-series (integer numerators over one denominator): eta quotients
 by the recurrence of their logarithmic derivative, Eisenstein series at both
-cusps of Gamma0(2), Hecke action on coefficients, a runtime-verified cusp-form
-basis, and oracle Hecke matrices to cross-check the period-polynomial pipeline.
+cusps of Gamma0(2), Hecke action on coefficients, a triangular cusp-form
+basis of one eta quotient per form (times M2 at weights 2 mod 4), and oracle
+Hecke matrices to cross-check the period-polynomial pipeline.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
 
@@ -227,25 +227,23 @@ def hecke_on_qseries(f, k, m):
 
 
 def cusp_basis_gamma02(k, prec):
-    """Monomial cusp-form basis of weight k on Gamma0(2).
+    """Triangular cusp-form basis of weight k on Gamma0(2): form j begins with q^j.
 
-    Elements are D8 * M2^a * E4^b with 2a + 4b = k - 8, where D8 is the
-    weight-8 eta quotient eta(z)^8 eta(2z)^8 and M2 = 2 E_2(2z) - E_2(z).
-    Linear independence and Hecke stability are verified where used, not
-    assumed.  Empty for k < 8.
+    For 4 | k, form j = 1 .. k/4 - 1 is the eta quotient
+    eta(z)^(4k - 24j) eta(2z)^(24j - 2k), of order j at infinity and k/4 - j
+    at 0 (Ligozat), with trivial character.  For k = 2 mod 4 every form
+    vanishes at the elliptic point, which no eta quotient does, so the basis is
+    M2 = 2 E_2(2z) - E_2(z) times the weight k - 2 one, of equal dimension.
+    Empty for k < 8; otherwise prec must reach the dimension d.
     """
     if k % 2:
         raise ValueError("k must be even")
-    if k < 8:
-        return []
-    d8 = eta_quotient([(1, 8), (2, 8)], prec)
-    m2 = m2_weight2(prec)
-    e4 = eisenstein_level1(4, prec)
-    # b falls from its largest value while a = (k - 8 - 4b)/2 climbs by 2 from 0 or 1
-    steps = (k - 8) // 4
-    e4_powers = accumulate(repeat(e4, steps), mul, initial=QSeries(0, [1], prec=prec))
-    heads = accumulate(repeat(m2 * m2, steps), mul, initial=d8 * m2 if k % 4 else d8)
-    return [head * e4_power for head, e4_power in zip(heads, reversed(list(e4_powers)))][::-1]
+    k0 = k - k % 4
+    basis = [eta_quotient([(1, 4 * k0 - 24 * j), (2, 24 * j - 2 * k0)], prec) for j in range(1, k0 // 4)]
+    if k % 4:
+        m2 = m2_weight2(prec)
+        basis = [m2 * f for f in basis]
+    return basis
 
 
 def default_precision(k, m=1):
@@ -272,14 +270,14 @@ def hecke_matrix_oracle(k, m, prec=None):
         raise EmptySpaceError("dimension 0 at weight %d on Gamma0(2)" % k)
     if prec is None:
         prec = default_precision(k, m)
-    basis = cusp_basis_gamma02(k, prec)
-    images = [hecke_on_qseries(f, k, m) for f in basis]
     nrows = prec // m
     if nrows < d:
         raise PrecisionError(
             "only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, m * d),
             required=m * d,
         )
+    basis = cusp_basis_gamma02(k, prec)
+    images = [hecke_on_qseries(f, k, m) for f in basis]
     a = _coefficient_matrix(basis, nrows)
     b = _coefficient_matrix(images, nrows)
     try:
@@ -323,7 +321,7 @@ def theorem14_check(k):
 
     Builds E0_{2j+2} Einf_{k-2-2j} and E0_{k-2-2j} Einf_{2j+2} for
     j = 1..dim, verifies every product is a cusp form (vanishing constant
-    term, expressible in the monomial cusp basis), and reports the exact rank
+    term, expressible in the cusp basis), and reports the exact rank
     of each family.
     """
     if k < 8 or k % 2:

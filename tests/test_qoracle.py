@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -182,13 +183,13 @@ def test_hecke_prime_power_consistency():
 
 
 def test_cusp_basis_cardinality_and_leading():
+    # triangular: form j begins exactly q^j, so the basis is independent at any prec >= d
     for k in range(8, 42, 2):
         basis = cusp_basis_gamma02(k, 12)
         assert len(basis) == (k - 2 - 2) // 4 == dim_cusp(2, k - 2)
-        for f in basis:
+        for j, f in enumerate(basis, 1):
             assert f.weight == k
-            assert f.coeff(0) == 0
-            assert f.coeff(1) == 1
+            assert f.coeffs[: j + 1] == [0] * j + [1], (k, j)
     assert cusp_basis_gamma02(6, 12) == []
     with pytest.raises(ValueError):
         cusp_basis_gamma02(9, 12)
@@ -274,9 +275,14 @@ def fraction_convolution(a, b, prec):
 
 
 def fraction_power(a, e, prec):
+    """a^e by repeated squaring with the Fraction loop."""
     out = [Fraction(1)] + [Fraction(0)] * prec
-    for _ in range(e):
-        out = fraction_convolution(out, a, prec)
+    while e:
+        if e % 2:
+            out = fraction_convolution(out, a, prec)
+        e //= 2
+        if e:
+            a = fraction_convolution(a, a, prec)
     return out
 
 
@@ -490,29 +496,52 @@ def test_hecke_on_qseries_prime_powers_match_divisor_formula():
             assert image.coeffs == expected, (p, r)
 
 
-def test_cusp_basis_matches_fraction_products():
-    # reference at the largest precision; a truncated product is the prefix of the longer one
-    top = 84
+def fraction_m2(top):
     e2 = fraction_eisenstein(2, top)
-    m2 = [2 * e2[n // 2] * (n % 2 == 0) - e2[n] for n in range(top + 1)]
-    e4 = fraction_eisenstein(4, top)
+    return [2 * e2[n // 2] * (n % 2 == 0) - e2[n] for n in range(top + 1)]
+
+
+def fraction_monomial_family(k, top):
+    """D8 * M2^a * E4^b, 2a + 4b = k - 8, D8 = eta(z)^8 eta(2z)^8: the oracle basis before the eta quotients."""
+    m2, e4 = fraction_m2(top), fraction_eisenstein(4, top)
     d8_m2 = [fraction_eta([(1, 8), (2, 8)], top)]
-    for _ in range(16):
+    for _ in range((k - 8) // 2):
         d8_m2.append(fraction_convolution(d8_m2[-1], m2, top))
-    e4_powers = [fraction_power(e4, 0, top)]
-    for _ in range(8):
-        e4_powers.append(fraction_convolution(e4_powers[-1], e4, top))
+    family, e4_power = [], fraction_power(e4, 0, top)
+    for b in range((k - 8) // 4 + 1):
+        family.append(fraction_convolution(d8_m2[(k - 8 - 4 * b) // 2], e4_power, top))
+        e4_power = fraction_convolution(e4_power, e4, top)
+    return family
+
+
+def coefficient_matrix(columns, rows):
+    return ExactMatrix([[c[r] for c in columns] for r in rows], cols=len(columns))
+
+
+def test_cusp_basis_matches_fraction_products():
+    # reference at the largest precision; a truncated series is the prefix of the longer one
+    top = 84
+    m2 = fraction_m2(top)
+    for k0 in range(8, 41, 4):
+        etas = [fraction_eta([(1, 4 * k0 - 24 * j), (2, 24 * j - 2 * k0)], top) for j in range(1, k0 // 4)]
+        for k, expected in ((k0, etas), (k0 + 2, [fraction_convolution(m2, f, top) for f in etas])):
+            for prec in (12, 40, 84):
+                basis = cusp_basis_gamma02(k, prec)
+                assert len(basis) == len(expected)
+                for f, coeffs in zip(basis, expected):
+                    assert (f.weight, f.prec, f.den) == (k, prec, 1)
+                    assert f.coeffs == coeffs[: prec + 1], (k, prec)
+
+
+def test_cusp_basis_spans_the_monomial_family():
+    # 24 rows exceed the Sturm bound k/4 of every weight here, so equal spans of prefixes are equal spaces
+    top = 24
     for k in range(8, 42, 2):
-        expected = []
-        for b in range((k - 8) // 4 + 1):
-            a = (k - 8 - 4 * b) // 2
-            expected.append(fraction_convolution(d8_m2[a], e4_powers[b], top) if b else d8_m2[a])
-        for prec in (12, 40, 84):
-            basis = cusp_basis_gamma02(k, prec)
-            assert len(basis) == len(expected)
-            for f, coeffs in zip(basis, expected):
-                assert (f.weight, f.prec, f.den) == (k, prec, 1)
-                assert f.coeffs == coeffs[: prec + 1], (k, prec)
+        rows = range(1, top + 1)
+        basis = coefficient_matrix([f.coeffs for f in cusp_basis_gamma02(k, top)], rows)
+        family = coefficient_matrix(fraction_monomial_family(k, top), rows)
+        solve_right(basis, family)
+        solve_right(family, basis)
 
 
 # SHA-256 of CLI stdout recorded before q-series moved to integer numerators
@@ -523,17 +552,44 @@ CLI_STDOUT_SHA256 = {
     ("qexp", "--form", "Einf:10", "--prec", "60"): "9e330e87a20440629444e7c110953722fde9ce3089d5cf86a5d573346c55e642",
     ("qexp", "--form", "E0:6", "--prec", "60"): "24699c781937a6f9d37df92b84e4506b394c6b94540e8fdef9f47a3a16b5f614",
     ("qexp", "--form", "E0:6"): "e93fb995f60942dee75b4f95e573ef22d506f5e14dd85a36d892fd734d50d54c",
-    ("oracle-matrix", "--weight", "12", "--m", "2"): "218220c5b76d3ba223670428760f7d5474eb6a8ada92037e0e0457535735d656",
+    # oracle-matrix prints T in the eta-quotient basis of cusp_basis_gamma02
+    ("oracle-matrix", "--weight", "12", "--m", "2"): "59709012e9c100f55e85a182870a1eb86f9d498b9d238e833531fe9bc0c61243",
     ("oracle-matrix", "--weight", "12", "--m", "5"): "d94af7378339737b8fa1daa27d51c285df1e19dc5d8b9742f8ef5ce8c9551147",
-    ("oracle-matrix", "--weight", "20", "--m", "2"): "90de58291d903044a801e5c92dd2cf778d843ef00343ce13a75986955c893510",
-    ("oracle-matrix", "--weight", "20", "--m", "5"): "003c29e2a60db8395197920999238d35239d282175944ac11733d64f2763609a",
+    ("oracle-matrix", "--weight", "20", "--m", "2"): "1668d94835c3920fad92d4f201bf2853932442095d06c214563fac15c10c30d2",
+    ("oracle-matrix", "--weight", "20", "--m", "5"): "28b8f0c0b837471a28024ca22e323212d81c1c7682473352f2c854fcc1565958",
 }
+ORACLE_MATRIX_ARGV = [argv for argv in CLI_STDOUT_SHA256 if argv[0] == "oracle-matrix"]
 
 
 def test_cli_stdout_is_byte_identical(capsys):
     for argv, digest in CLI_STDOUT_SHA256.items():
         assert main(list(argv)) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", ORACLE_MATRIX_ARGV, ids=lambda argv: "k%s-m%s" % (argv[2], argv[4]))
+def test_oracle_matrix_is_similar_to_the_monomial_basis_matrix(capsys, argv):
+    # the printed T and the matrix of the old D8 M2^a E4^b basis are one operator: C T_old == T_new C
+    assert main(list(argv)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    k, m, prec = payload["weight"], payload["m"], payload["prec"]
+    t_new = ExactMatrix([[Fraction(x) for x in row] for row in payload["T"]])
+    old = fraction_monomial_family(k, prec)
+    images = [hecke_on_qseries(QSeries(k, f), k, m).coeffs for f in old]
+    image_rows = range(1, prec // m + 1)
+    t_old = solve_right(coefficient_matrix(old, image_rows), coefficient_matrix(images, image_rows))
+    new = [f.coeffs for f in cusp_basis_gamma02(k, prec)]
+    c = solve_right(coefficient_matrix(new, range(1, prec + 1)), coefficient_matrix(old, range(1, prec + 1)))
+    assert c * t_old == t_new * c
+    assert main(["hecke-matrix", "--level", "2", "--w", str(k - 2), "--m", str(m)]) == 0
+    assert payload["charpoly"] == json.loads(capsys.readouterr().out)["charpoly"]
+
+
+def test_oracle_matches_pipeline_k62_and_k64():
+    # both residues of k mod 4 at d = 14 and 15
+    for k in (62, 64):
+        for m in (2, 3):
+            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m)), (k, m)
 
 
 def test_oracle_matches_pipeline_k26_to_40():
