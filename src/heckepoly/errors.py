@@ -36,10 +36,6 @@ class PrecisionError(HeckePolyError):
 
     code = "PrecisionTooLow"
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class EmptySpaceError(HeckePolyError):
     """The cusp-form space in question has dimension zero."""

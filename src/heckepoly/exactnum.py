@@ -2,8 +2,9 @@
 
 Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli
 polynomials B^0_k, weighted integer power sums, divisor power sums, the
-Moebius function, and one trial-division factorization behind the
-prime-divisor helpers.  Everything is exact; nothing here ever rounds.
+Moebius function, and a factorization read off the divisor list behind the
+prime-divisor helpers, so ``divisors`` is the one trial-division loop.
+Everything is exact; nothing here ever rounds.
 """
 
 from fractions import Fraction
@@ -87,21 +88,20 @@ def sigma(k, n):
 
 
 def factorize(n):
-    """Prime factorization of n >= 1 as ascending (p, exponent) pairs, by trial division."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Prime factorization of n >= 1 as ascending (p, exponent) pairs.
+
+    Walks the divisors of n above 1 in order, dividing each one out fully: a
+    divisor that still divides what is left has no smaller prime factor, so
+    it is prime.
+    """
     factors = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            r = 0
-            while n % p == 0:
-                n //= p
-                r += 1
+    for p in divisors(n)[1:]:
+        r = 0
+        while n % p == 0:
+            n //= p
+            r += 1
+        if r:
             factors.append((p, r))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
     return factors
 
 

@@ -12,13 +12,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import (
-    BasisDeficientError,
-    EmptySpaceError,
-    InconsistentSystemError,
-    PrecisionError,
-    UnderdeterminedSystemError,
-)
+from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
 from .exactnum import bernoulli_number, divisors
 from .heckeop import dim_cusp
@@ -60,18 +54,18 @@ class QSeries:
         if n < 0:
             return Fraction(0)
         if n > self.prec:
-            raise PrecisionError("coefficient %d beyond precision %d" % (n, self.prec), required=n)
+            raise PrecisionError("coefficient %d beyond precision %d" % (n, self.prec))
         return Fraction(self.num[n], self.den)
 
     def prefix(self, n):
         """Tuple (a_0, ..., a_n); errors if n exceeds the precision."""
         if n > self.prec:
-            raise PrecisionError("prefix %d beyond precision %d" % (n, self.prec), required=n)
+            raise PrecisionError("prefix %d beyond precision %d" % (n, self.prec))
         return tuple(Fraction(x, self.den) for x in self.num[: n + 1])
 
     def truncate(self, prec):
         if prec > self.prec:
-            raise PrecisionError("cannot extend precision %d to %d" % (self.prec, prec), required=prec)
+            raise PrecisionError("cannot extend precision %d to %d" % (self.prec, prec))
         return QSeries._over(self.weight, self.num[: prec + 1], self.den)
 
     def is_cuspidal(self):
@@ -262,9 +256,13 @@ def hecke_matrix_oracle(k, m, prec=None):
     """Matrix of T_m on the weight-k cusp space, from q-expansions alone.
 
     Expresses the image of each basis element back in the basis by an exact
-    linear solve over the first prec//m coefficients; errors distinguish
-    precision shortfalls from genuine basis failures.
+    linear solve over coefficients 1 .. prec//m.  Basis form j begins with q^j,
+    so rows 1 .. d are unitriangular and always give d pivots: the one
+    precision rule is PrecisionError below d usable rows, and an image that
+    leaves the span of the basis raises BasisDeficientError.
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     d = dim_cusp(2, k - 2)
     if d < 1:
         raise EmptySpaceError("dimension 0 at weight %d on Gamma0(2)" % k)
@@ -272,23 +270,11 @@ def hecke_matrix_oracle(k, m, prec=None):
         prec = default_precision(k, m)
     nrows = prec // m
     if nrows < d:
-        raise PrecisionError(
-            "only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, m * d),
-            required=m * d,
-        )
+        raise PrecisionError("only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, m * d))
     basis = cusp_basis_gamma02(k, prec)
     images = [hecke_on_qseries(f, k, m) for f in basis]
-    a = _coefficient_matrix(basis, nrows)
-    b = _coefficient_matrix(images, nrows)
     try:
-        return solve_right(a, b)
-    except UnderdeterminedSystemError as exc:
-        if nrows < d + 2:
-            raise PrecisionError(
-                "solve rank-deficient with only %d rows; need prec >= %d" % (nrows, m * (d + 2)),
-                required=m * (d + 2),
-            ) from exc
-        raise BasisDeficientError("oracle basis is linearly dependent at weight %d" % k) from exc
+        return solve_right(_coefficient_matrix(basis, nrows), _coefficient_matrix(images, nrows))
     except InconsistentSystemError as exc:
         raise BasisDeficientError(
             "T_%d image leaves the span of the oracle basis at weight %d" % (m, k)
@@ -322,7 +308,8 @@ def theorem14_check(k):
     Builds E0_{2j+2} Einf_{k-2-2j} and E0_{k-2-2j} Einf_{2j+2} for
     j = 1..dim, verifies every product is a cusp form (vanishing constant
     term, expressible in the cusp basis), and reports the exact rank
-    of each family.
+    of each family.  The basis has full column rank, so a family in its span
+    has the rank of its d x d coordinates.
     """
     if k < 8 or k % 2:
         raise ValueError("k must be an even integer >= 8")
@@ -340,10 +327,9 @@ def theorem14_check(k):
         cuspidal = all(f.is_cuspidal() for f in family)
         fam_mat = _coefficient_matrix(family, prec)
         try:
-            solve_right(basis_mat, fam_mat)
-        except (UnderdeterminedSystemError, InconsistentSystemError):
-            cuspidal = False
-        return cuspidal, rank(fam_mat)
+            return cuspidal, rank(solve_right(basis_mat, fam_mat))
+        except InconsistentSystemError:
+            return False, rank(fam_mat)
 
     cusp_first, rank_first = family_report("zero", "infinity")
     cusp_second, rank_second = family_report("infinity", "zero")

@@ -303,7 +303,8 @@ def suite_hecke_relations(max_weight=22):
 
 
 # name -> (builder, ceiling of its --max-weight bound, or None for a suite that takes no bound);
-# each suite takes about 10 s at its ceiling (oracle --max-weight 200 ran past 60 s)
+# CLI wall time at the ceiling: bases 9 s, theorem14 2 s, oracle 4 s, assembly 11 s, hecke-relations 6 s
+# (oracle --max-weight 200 ran past 60 s)
 SUITES = {
     "paper-examples": (suite_paper_examples, None),
     "hankel": (suite_hankel, None),

@@ -219,6 +219,12 @@ def test_oracle_matrix_negative_prec(capsys):
     assert "prec must be positive" in error["message"]
 
 
+def test_oracle_matrix_nonpositive_m(capsys):
+    for m in ("0", "-1"):
+        for prec in ((), ("--prec", "20")):
+            _assert_precondition(capsys, ("oracle-matrix", "--weight", "12", "--m", m, *prec), "m must be positive")
+
+
 def test_oracle_matrix_weight_must_be_even_and_at_least_4(capsys):
     for weight in (7, 2, -4):
         argv = ("oracle-matrix", "--weight", str(weight), "--m", "2")

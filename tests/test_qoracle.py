@@ -234,6 +234,12 @@ def test_oracle_matrix_examples():
         hecke_matrix_oracle(12, 5, prec=8)
 
 
+def test_oracle_matrix_rejects_nonpositive_m():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be positive"):
+            hecke_matrix_oracle(12, m)
+
+
 def test_default_precision_policy():
     assert default_precision(12) == 16
     assert default_precision(12, 5) == max(16, 5 * 5)
@@ -247,6 +253,20 @@ def test_theorem14_small_weights():
     assert rep12.dim == 2 and rep12.ok
     with pytest.raises(ValueError):
         theorem14_check(7)
+
+
+def test_theorem14_ranks_match_the_full_family_matrices():
+    # the report takes each rank from the d x d coordinates; the reference eliminates all prec rows
+    for k in range(8, 41, 2):
+        w, d, prec = k - 2, dim_cusp(2, k - 2), default_precision(k)
+        report = theorem14_check(k)
+        for low, high, got in (("zero", "infinity", report.rank_first), ("infinity", "zero", report.rank_second)):
+            family = [
+                eisenstein_gamma02(2 * j + 2, low, prec) * eisenstein_gamma02(w - 2 * j, high, prec)
+                for j in range(1, d + 1)
+            ]
+            full = ExactMatrix.from_columns([f.num[1:] for f in family], [f.den for f in family])
+            assert got == rank(full), (k, low)
 
 
 def test_theorem14_products_are_cuspidal():
