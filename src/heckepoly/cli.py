@@ -44,7 +44,7 @@ LIMITS = {
     "--list-matrices m": 1000,
     # the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
     "hecke-sum m": 10**5,
-    # hecke-sum grows like m (w + 1) on top of B_(w+1): ~10 s at level 5, w = 1098, m = 27, ~9 s of it B_1099
+    # hecke-sum grows like m (w + 1) on top of B_(w+1): 0.55-0.86 s at level 5, w = 1098, m = 27, ~0.22 s of it B_1099
     "m (w + 1)": 30_000,
     # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: "d prec^2")
     "prec": 2000,
@@ -57,7 +57,7 @@ LIMITS = {
     # oracle-matrix at m = 2: 0.65-0.86 s at weight 162 (d = 39), prec 299, 0.30-0.32 s at weight 12, prec 1322;
     # a larger m adds charpoly time: 1.7-1.8 s at weight 164 (d = 40), m = 7, prec 295
     "d prec^2": 3_500_000,
-    # B_0..B_k by the O(k^2)-term recurrence on growing Fractions: bernoulli --n 1100 takes ~9 s
+    # B_0..B_k from k boustrophedon rows, O(k^2) integer additions: bernoulli --n 1100 takes 0.3-0.4 s
     "Bernoulli index": 1100,
     # Bareiss on the n x n Bernoulli Hankel matrix grows like n^7: hankel --n 50 takes ~10 s, --n 60 took 30 s
     "hankel n": 50,

@@ -14,32 +14,34 @@ from operator import mul
 
 from .polyring import BoundedPolynomial
 
-# B_0, B_1 seed the defining recurrence; the cache is only ever replaced by a longer copy.
+# B_0, B_1 seed the table; the cache is only ever replaced by a longer copy.  _seidel_row pairs a cache length L
+# with boustrophedon row L - 2, whose successor gives B_L; a length that does not match restarts at row 0.
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
+_seidel_row = (2, [1])
 
 
 def bernoulli_number(k):
     """Return B_k as a Fraction, under the convention B_1 = -1/2.
 
-    Computed by the defining recurrence sum_{i<m} C(m,i) B_i = 0 (m >= 2)
-    with memoization.  A miss extends a private copy of the cache and then
-    rebinds it, so the list a caller reads is never mutated and a caller on
-    another thread sees a shorter cache at worst, never a wrong entry.
+    Row r of Seidel's boustrophedon is the running sum of row r - 1 reversed, and odd row 2j - 1 ends in the
+    tangent number T_j, so B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from integer additions only (Brent &
+    Harvey, arXiv:1108.0286).  A miss extends a private copy of the cache, from the row kept beside it or from
+    row 0, and then rebinds it, so the list a caller reads is never mutated and a caller on another thread
+    sees a shorter cache at worst, never a wrong entry.
     """
-    global _bernoulli_cache
+    global _bernoulli_cache, _seidel_row
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     cache = _bernoulli_cache
     if k < len(cache):
         return cache[k]
-    cache = list(cache)
+    size, row = _seidel_row
+    cache, row = (list(cache), row) if size == len(cache) else (cache[:2], [1])
     while len(cache) <= k:
-        m = len(cache) + 1
-        acc = Fraction(0)
-        for i, b in enumerate(cache):
-            if b:
-                acc += comb(m, i) * b
-        cache.append(-acc / comb(m, m - 1))
+        row = list(accumulate(reversed(row), initial=0))  # row len(cache) - 1
+        j, odd = divmod(len(cache), 2)
+        cache.append(Fraction(0) if odd else Fraction((-1) ** (j - 1) * 2 * j * row[-1], 4**j * (4**j - 1)))
+    _seidel_row = (len(cache), row)
     _bernoulli_cache = cache
     return cache[k]
 

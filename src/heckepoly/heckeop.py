@@ -9,8 +9,8 @@ level 2; levels 3..5 run in an experimental mode where a failed basis is
 surfaced, never patched.
 """
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     BasisDeficientError,
@@ -67,8 +67,7 @@ def basis_matrix(w, which):
     return ExactMatrix([[poly.coeff(power(w, j)) for j in range(1, d + 1)] for poly in polys])
 
 
-@dataclass
-class HeckeComputation:
+class HeckeComputation(NamedTuple):
     """One full T_m computation with its intermediate matrices."""
 
     level: int

@@ -31,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import divisors, moebius, sigma
+from .exactnum import bernoulli_poly0, divisors, moebius, sigma
 from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period_sum
 from .polyring import BoundedPolynomial
 
@@ -175,7 +175,8 @@ def moebius_correction(ctx, m):
 def hecke_images(level, w, ns, m):
     """(bases, images) at the even indices ns: s_poly, and s_poly_m plus the Moebius correction when level | m.
 
-    One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts.
+    One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts, and
+    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.
     """
     ctxs = [PeriodContext(level, w, n) for n in ns]
     for ctx in ctxs:
@@ -185,9 +186,10 @@ def hecke_images(level, w, ns, m):
     if m < 1:
         raise ValueError("m must be positive")
     signed, pairs = sign_restricted_sum(level, w, ns, m), _diagonal_pairs(level, m)
+    row_of = {k: bernoulli_poly0(k) for k in {k for ctx in ctxs for k in (ctx.ntilde + 1, ctx.n + 1)}}
     bases, images = [], []
     for ctx, part in zip(ctxs, signed):
-        rows = bernoulli_rows(ctx)
+        rows = row_of[ctx.ntilde + 1], row_of[ctx.n + 1]
         bases.append(period_sum(ctx, rows, [(1, 1)]))
         images.append(part + period_sum(ctx, rows, pairs, _moebius_terms(ctx, m) if m % level == 0 else ()))
     return bases, images

@@ -14,9 +14,9 @@ both sides cancels throughout, so every quantity here is a plain Fraction; the
 stored rational normalizer is c_rat = (-1)^n * C(w, n).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .errors import UnsupportedParityError
 from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors
@@ -29,20 +29,18 @@ def require_weight(w):
         raise ValueError("w must be an even integer >= 2, got %d" % w)
 
 
-@dataclass(frozen=True)
-class PeriodContext:
+class PeriodContext(NamedTuple("PeriodContext", [("level", int), ("w", int), ("n", int)])):
     """The tuple (level, w, n) governing one period computation."""
 
-    level: int
-    w: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 2:
+    def __new__(cls, level, w, n):
+        if level < 2:
             raise ValueError("level must be >= 2")
-        require_weight(self.w)
-        if not 0 <= self.n <= self.w:
+        require_weight(w)
+        if not 0 <= n <= w:
             raise ValueError("n must satisfy 0 <= n <= w")
+        return super().__new__(cls, level, w, n)
 
     @property
     def ntilde(self):

@@ -7,10 +7,10 @@ basis of one eta quotient per form (times M2 at weights 2 mod 4), and oracle
 Hecke matrices to cross-check the period-polynomial pipeline.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
@@ -281,8 +281,7 @@ def hecke_matrix_oracle(k, m, prec=None):
         ) from exc
 
 
-@dataclass
-class Theorem14Report:
+class Theorem14Report(NamedTuple):
     """Rank report for the two Eisenstein-product families at one weight."""
 
     k: int

@@ -44,6 +44,73 @@ def test_bernoulli_recurrence():
         assert sum(comb(m, i) * bernoulli_number(i) for i in range(m)) == 0
 
 
+def _bernoulli_by_recurrence(k):
+    # B_0..B_k by the defining recurrence sum_{i<m} C(m,i) B_i = 0 on Fractions: an independent reference
+    table = [Fraction(1), Fraction(-1, 2)]
+    while len(table) <= k:
+        m = len(table) + 1
+        table.append(-sum(comb(m, i) * b for i, b in enumerate(table) if b) / m)
+    return table[: k + 1]
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["filled", "walked"])
+def test_bernoulli_table_matches_recurrence(monkeypatch, walk):
+    # filled from the two seeds in one call, or walked up one index at a time (each call a miss by one)
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", exactnum._bernoulli_cache[:2])
+    monkeypatch.setattr(exactnum, "_seidel_row", (2, [1]))
+    if not walk:
+        bernoulli_number(300)
+    assert [bernoulli_number(k) for k in range(301)] == _bernoulli_by_recurrence(300)
+
+
+def test_bernoulli_row_of_another_length_restarts(monkeypatch):
+    # a row kept beside a cache of another length (another thread rebound one of them) is not extended
+    want = _bernoulli_by_recurrence(120)
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", want[:40])
+    monkeypatch.setattr(exactnum, "_seidel_row", (60, [1, 2, 3]))
+    assert bernoulli_number(120) == want[120]
+    assert exactnum._bernoulli_cache == want
+    assert exactnum._seidel_row[0] == 121
+
+
+def test_bernoulli_table_under_contending_threads(monkeypatch):
+    # eight threads walk the indices from the seeds, four upwards (each call a miss by one) and four in random
+    # orders, switching often: a thread may read a cache and a row that two other extensions rebound
+    want = _bernoulli_by_recurrence(240)
+    monkeypatch.setattr(exactnum, "_bernoulli_cache", exactnum._bernoulli_cache[:2])
+    monkeypatch.setattr(exactnum, "_seidel_row", (2, [1]))
+    orders = [range(241)] * 4 + [random.Random(seed).sample(range(241), 241) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda ks: [(k, bernoulli_number(k)) for k in ks], ks) for ks in orders]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(b == want[k] for got in results for k, b in got)
+    assert exactnum._bernoulli_cache == want[: len(exactnum._bernoulli_cache)]
+
+
+def test_bernoulli_denominators_von_staudt_clausen():
+    # the denominator of B_2j is the product of the primes p with (p - 1) | 2j, and B_2j has the sign (-1)^(j-1)
+    limit = 1101
+    sieve = [True] * (limit + 1)
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    primes = [p for p in range(2, limit + 1) if sieve[p]]
+    bernoulli_number(1100)
+    for j in range(1, 551):
+        b = bernoulli_number(2 * j)
+        want = 1
+        for p in primes:
+            if (2 * j) % (p - 1) == 0:
+                want *= p
+        assert b.denominator == want, j
+        assert (b > 0) == (j % 2 == 1), j
+
+
 def test_bernoulli_cache_thread_safety():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(bernoulli_number, [200] * 16))

@@ -3,6 +3,7 @@ from math import comb, gcd
 
 import pytest
 
+from heckepoly import heckesum
 from heckepoly.errors import UnsupportedParityError
 from heckepoly.exactnum import bernoulli_poly0, divisors, moebius
 from heckepoly.heckesum import (
@@ -199,6 +200,21 @@ def test_hecke_images_pairs_each_base_with_its_image():
                 assert base == s_poly(ctx), (level, n, m)
                 want = _sign_restricted_sum_by_matrices(ctx, m) + diagonal_sum(ctx, m) + correction
                 assert image == want, (level, n, m)
+
+
+def test_hecke_images_builds_each_bernoulli_order_once(monkeypatch):
+    # at level 4 every ntilde is also an index, so the 24 indices share 24 orders instead of building 48 rows
+    orders = []
+
+    def counting(k):
+        orders.append(k)
+        return bernoulli_poly0(k)
+
+    monkeypatch.setattr(heckesum, "bernoulli_poly0", counting)
+    ns = list(range(2, 50, 2))
+    bases, _ = hecke_images(4, 50, ns, 2)
+    assert sorted(orders) == list(range(3, 50, 2))
+    assert bases == [s_poly(PeriodContext(4, 50, n)) for n in ns]
 
 
 def test_diagonal_sum_at_index_one_is_s_poly():

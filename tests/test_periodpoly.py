@@ -25,8 +25,9 @@ def test_context_validation():
         PeriodContext(1, 6, 2)
     with pytest.raises(ValueError):
         PeriodContext(2, 5, 2)
-    with pytest.raises(ValueError):
-        PeriodContext(2, 6, 7)
+    for n in (7, -1):  # n outside [0, w]
+        with pytest.raises(ValueError, match="^n must satisfy 0 <= n <= w$"):
+            PeriodContext(2, 6, n)
     ctx = PeriodContext(2, 6, 2)
     assert ctx.ntilde == 4
     assert ctx.c_rat == 15

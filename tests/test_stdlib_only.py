@@ -1,6 +1,8 @@
 """The runtime uses the standard library only: every import in the package is stdlib or relative."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +31,11 @@ def test_package_imports_only_stdlib_or_relative():
         if module is not None and module not in sys.stdlib_module_names
     ]
     assert offenders == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every CLI call pays for what ``import heckepoly.cli`` loads; -S keeps site's own imports out of the count
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    probe = "import sys, heckepoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
