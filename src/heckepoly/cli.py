@@ -7,6 +7,7 @@ stdout (JSON by default), structured errors to stderr, exit status 0/1.
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -360,6 +361,10 @@ def main(argv=None):
         # exact results may run past the int/str digit limit; arguments were parsed under it
         with _int_str_digits(0):
             status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+    except BrokenPipeError:  # the interpreter flushes stdout again at exit: send that to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _report("OutputClosed", "stdout was closed before all output was written")
     except HeckePolyError as exc:
         return _report(exc.code, str(exc))
     except ValueError as exc:

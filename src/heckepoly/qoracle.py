@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
 from .exactnum import bernoulli_number, divisors
-from .heckeop import dim_cusp
 from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
 
 
@@ -62,11 +61,6 @@ class QSeries:
         if n > self.prec:
             raise PrecisionError("prefix %d beyond precision %d" % (n, self.prec))
         return tuple(Fraction(x, self.den) for x in self.num[: n + 1])
-
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise PrecisionError("cannot extend precision %d to %d" % (self.prec, prec))
-        return QSeries._over(self.weight, self.num[: prec + 1], self.den)
 
     def is_cuspidal(self):
         return self.num[0] == 0
@@ -201,23 +195,28 @@ def eisenstein_gamma02(k, cusp, prec):
     return Fraction(2**k, 2**k - 1) * (ek - ek2)
 
 
-def hecke_on_qseries(f, k, m):
-    """Apply T_m to a weight-k form on Gamma0(2), coefficientwise.
+def hecke_on_qseries(f, m):
+    """Apply T_m to a form on Gamma0(2) of weight k = f.weight, coefficientwise.
 
     a_n(T_m f) = sum over odd d | gcd(m, n) of d^(k-1) a_{mn/d^2}: the even
-    d drop out because 2 divides the level.  The result keeps coefficients
-    0 .. prec(f) // m.
+    d drop out because 2 divides the level.  The result has weight k and keeps
+    coefficients 0 .. prec(f) // m.
     """
-    if f.weight != k:
-        raise ValueError("series weight %s does not match k = %d" % (f.weight, k))
     if m < 1:
         raise ValueError("m must be positive")
     top = f.prec // m
     # a divisor of gcd(m, n) with n >= 1 is at most top; only a_0 != 0 needs every divisor of m
     candidates = divisors(m) if f.num[0] else range(1, top + 1, 2)
-    odd = [(d, d ** (k - 1)) for d in candidates if d % 2 and m % d == 0]
+    odd = [(d, d ** (f.weight - 1)) for d in candidates if d % 2 and m % d == 0]
     num = [sum(e * f.num[m * n // (d * d)] for d, e in odd if n % d == 0) for n in range(top + 1)]
-    return QSeries._over(k, num, f.den)
+    return QSeries._over(f.weight, num, f.den)
+
+
+def _basis_orders(k):
+    """Orders at infinity j = 1 .. d of the weight-k basis forms; d = k//4 - 1 is dim S_k(Gamma0(2))."""
+    if k < 4 or k % 2:
+        raise ValueError("k must be an even integer >= 4, got %d" % k)
+    return range(1, k // 4)
 
 
 def cusp_basis_gamma02(k, prec):
@@ -228,12 +227,10 @@ def cusp_basis_gamma02(k, prec):
     at 0 (Ligozat), with trivial character.  For k = 2 mod 4 every form
     vanishes at the elliptic point, which no eta quotient does, so the basis is
     M2 = 2 E_2(2z) - E_2(z) times the weight k - 2 one, of equal dimension.
-    Empty for k < 8; otherwise prec must reach the dimension d.
+    Its length is the dimension d (0 at k = 4, 6); prec must reach d.
     """
-    if k % 2:
-        raise ValueError("k must be even")
     k0 = k - k % 4
-    basis = [eta_quotient([(1, 4 * k0 - 24 * j), (2, 24 * j - 2 * k0)], prec) for j in range(1, k0 // 4)]
+    basis = [eta_quotient([(1, 4 * k0 - 24 * j), (2, 24 * j - 2 * k0)], prec) for j in _basis_orders(k)]
     if k % 4:
         m2 = m2_weight2(prec)
         basis = [m2 * f for f in basis]
@@ -256,14 +253,14 @@ def hecke_matrix_oracle(k, m, prec=None):
     """Matrix of T_m on the weight-k cusp space, from q-expansions alone.
 
     Expresses the image of each basis element back in the basis by an exact
-    linear solve over coefficients 1 .. prec//m.  Basis form j begins with q^j,
-    so rows 1 .. d are unitriangular and always give d pivots: the one
-    precision rule is PrecisionError below d usable rows, and an image that
-    leaves the span of the basis raises BasisDeficientError.
+    linear solve over coefficients 1 .. prec//m.  d is the oracle basis's own
+    length; form j begins with q^j, so rows 1 .. d are unitriangular and give
+    d pivots: the one precision rule is PrecisionError below d usable rows,
+    and an image that leaves the basis's span raises BasisDeficientError.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    d = dim_cusp(2, k - 2)
+    d = len(_basis_orders(k))
     if d < 1:
         raise EmptySpaceError("dimension 0 at weight %d on Gamma0(2)" % k)
     if prec is None:
@@ -272,7 +269,7 @@ def hecke_matrix_oracle(k, m, prec=None):
     if nrows < d:
         raise PrecisionError("only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, m * d))
     basis = cusp_basis_gamma02(k, prec)
-    images = [hecke_on_qseries(f, k, m) for f in basis]
+    images = [hecke_on_qseries(f, m) for f in basis]
     try:
         return solve_right(_coefficient_matrix(basis, nrows), _coefficient_matrix(images, nrows))
     except InconsistentSystemError as exc:
@@ -282,7 +279,7 @@ def hecke_matrix_oracle(k, m, prec=None):
 
 
 class Theorem14Report(NamedTuple):
-    """Rank report for the two Eisenstein-product families at one weight."""
+    """Rank report for the two Eisenstein-product families at one weight; dim is the oracle basis's length."""
 
     k: int
     dim: int
@@ -305,22 +302,21 @@ def theorem14_check(k):
     """Check that both cusp-product Eisenstein families span the weight-k cusp space.
 
     Builds E0_{2j+2} Einf_{k-2-2j} and E0_{k-2-2j} Einf_{2j+2} for
-    j = 1..dim, verifies every product is a cusp form (vanishing constant
-    term, expressible in the cusp basis), and reports the exact rank
-    of each family.  The basis has full column rank, so a family in its span
-    has the rank of its d x d coordinates.
+    j = 1..d, d the length of the oracle's cusp basis, verifies every product
+    is a cusp form (vanishing constant term, expressible in the cusp basis),
+    and reports the exact rank of each family.  The basis has full column
+    rank, so a family in its span has the rank of its d x d coordinates.
     """
     if k < 8 or k % 2:
         raise ValueError("k must be an even integer >= 8")
-    w = k - 2
-    d = dim_cusp(2, w)
     prec = default_precision(k)
     basis_mat = _coefficient_matrix(cusp_basis_gamma02(k, prec), prec)
+    d = basis_mat.cols  # one column per basis form
 
     def family_report(low, high):
-        """Cuspidality and rank of E_low(2j+2) E_high(w-2j), j = 1..d, for the cusps low and high."""
+        """Cuspidality and rank of E_low(2j+2) E_high(k-2-2j), j = 1..d, for the cusps low and high."""
         family = [
-            eisenstein_gamma02(2 * j + 2, low, prec) * eisenstein_gamma02(w - 2 * j, high, prec)
+            eisenstein_gamma02(2 * j + 2, low, prec) * eisenstein_gamma02(k - 2 - 2 * j, high, prec)
             for j in range(1, d + 1)
         ]
         cuspidal = all(f.is_cuspidal() for f in family)

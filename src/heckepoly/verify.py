@@ -25,7 +25,6 @@ from .heckesum import (
 from .periodpoly import PeriodContext, assemble_from_periods, period_value, r_plus_odd, s_poly
 from .polyring import BoundedPolynomial
 from .qoracle import (
-    QSeries,
     cusp_basis_gamma02,
     eisenstein_level1,
     eta_quotient,
@@ -137,13 +136,12 @@ def _check_paper_t3_level4():
 
 
 def _check_paper_t2_delta():
-    prec = 62
-    delta = eta_quotient([(1, 24)], prec)
-    delta2 = QSeries(12, scale_variable(delta, 2).coeffs, prec=prec)
-    lhs = hecke_on_qseries(delta, 12, 2)
+    delta = eta_quotient([(1, 24)], 62)
+    delta2 = scale_variable(delta, 2)
+    lhs = hecke_on_qseries(delta, 2)
     rhs = -24 * delta + (-2048) * delta2
     assert lhs.prefix(30) == rhs.prefix(30)
-    assert hecke_on_qseries(delta2, 12, 2).prefix(30) == delta.prefix(30)
+    assert hecke_on_qseries(delta2, 2).prefix(30) == delta.prefix(30)
 
 
 def _check_paper_weight10_forms():

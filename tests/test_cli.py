@@ -324,6 +324,41 @@ def test_console_entrypoint_runs():
     assert result.stdout.strip() == "1"
 
 
+CLOSED_PIPE_ARGV = {
+    "verify-symmetry": ["verify", "--suite", "symmetry"],
+    "list-matrices": ["hecke-sum", "--level", "2", "--w", "4", "--n", "2", "--m", "1000", "--list-matrices"],
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pipe is sized with Linux's F_SETPIPE_SZ")
+@pytest.mark.parametrize("unbuffered", (True, False), ids=("unbuffered", "buffered"))
+@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV.values(), ids=CLOSED_PIPE_ARGV)
+def test_closed_stdout_is_one_structured_error(argv, unbuffered):
+    # the reader takes 10 bytes and closes the pipe; a one-page pipe holds less than either output,
+    # so the command is still writing then, whether each print is written through or at the last flush
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "heckepoly", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        os.close(write_end)
+        head = os.read(read_end, 10)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+    assert len(head) == 10
+    assert proc.returncode == 1
+    # one JSON line and nothing else: no traceback, no "Exception ignored" from the flush at exit
+    assert json.loads(err) == {
+        "error": {"code": "OutputClosed", "message": "stdout was closed before all output was written"}
+    }
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit")
 def test_results_past_the_int_str_digit_limit(capsys):
     # the charpoly has coefficients of more than 640 digits: at the lowered limit they are still printed,

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from heckepoly import qoracle
+import heckepoly
+from heckepoly import heckeop, qoracle
 from heckepoly.cli import main
 from heckepoly.errors import EmptySpaceError, PrecisionError
 from heckepoly.exactlinalg import ExactMatrix, charpoly, rank, solve_right
@@ -39,8 +40,6 @@ def test_qseries_arithmetic():
         f + QSeries(4, [1])
     with pytest.raises(PrecisionError):
         f.coeff(5)
-    with pytest.raises(PrecisionError):
-        f.truncate(9)
 
 
 def test_eta_quotient_delta():
@@ -141,27 +140,28 @@ def test_eisenstein_gamma02_identities():
 def test_hecke_t2_delta_relations():
     prec = 62
     delta = eta_quotient([(1, 24)], prec)
-    delta2 = QSeries(12, scale_variable(delta, 2).coeffs, prec=prec)
-    image = hecke_on_qseries(delta, 12, 2)
+    delta2 = scale_variable(delta, 2)
+    image = hecke_on_qseries(delta, 2)
     target = -24 * delta + (-2048) * delta2
     assert image.prefix(30) == target.prefix(30)
-    assert hecke_on_qseries(delta2, 12, 2).prefix(30) == delta.prefix(30)
+    assert hecke_on_qseries(delta2, 2).prefix(30) == delta.prefix(30)
 
 
 def test_hecke_identity_and_guards():
     f = eta_quotient([(1, 8), (2, 8)], 20)
-    assert hecke_on_qseries(f, 8, 1).prefix(20) == f.prefix(20)
-    with pytest.raises(ValueError):
-        hecke_on_qseries(f, 10, 2)  # weight mismatch
+    assert hecke_on_qseries(f, 1).prefix(20) == f.prefix(20)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be positive"):
+            hecke_on_qseries(f, m)
 
 
 def test_hecke_prime_power_consistency():
     # T_9 = T_3 T_3 - 3^(k-1) on series, independently of the composite path
     prec = 81
     f = eta_quotient([(1, 8), (2, 8)], prec)
-    t3 = hecke_on_qseries(f, 8, 3)
-    t9 = hecke_on_qseries(f, 8, 9)
-    manual = hecke_on_qseries(t3, 8, 3) - 3**7 * f
+    t3 = hecke_on_qseries(f, 3)
+    t9 = hecke_on_qseries(f, 9)
+    manual = hecke_on_qseries(t3, 3) - 3**7 * f
     assert t9.prefix(9) == manual.prefix(9)
     # Hecke-algebra relations, whatever form hecke_on_qseries takes: T_2 applied r times is
     # T_(2^r), T_a T_b = T_ab for coprime a, b, and T_(p^2) = T_p T_p - p^(k-1)
@@ -171,28 +171,30 @@ def test_hecke_prime_power_consistency():
         for f in forms:
             g = f
             for r in range(1, 5):
-                g = hecke_on_qseries(g, k, 2)
-                assert g.coeffs == hecke_on_qseries(f, k, 2**r).coeffs, (k, r)
+                g = hecke_on_qseries(g, 2)
+                assert g.coeffs == hecke_on_qseries(f, 2**r).coeffs, (k, r)
             for a, b in ((2, 3), (3, 4), (4, 5), (3, 5)):
-                composed = hecke_on_qseries(hecke_on_qseries(f, k, b), k, a)
-                assert composed.coeffs == hecke_on_qseries(f, k, a * b).coeffs, (k, a, b)
+                composed = hecke_on_qseries(hecke_on_qseries(f, b), a)
+                assert composed.coeffs == hecke_on_qseries(f, a * b).coeffs, (k, a, b)
             for p in (3, 5):
-                twice = hecke_on_qseries(hecke_on_qseries(f, k, p), k, p)
+                twice = hecke_on_qseries(hecke_on_qseries(f, p), p)
                 top = prec // (p * p)
-                assert hecke_on_qseries(f, k, p * p).prefix(top) == (twice - p ** (k - 1) * f).prefix(top), (k, p)
+                assert hecke_on_qseries(f, p * p).prefix(top) == (twice - p ** (k - 1) * f).prefix(top), (k, p)
 
 
 def test_cusp_basis_cardinality_and_leading():
-    # triangular: form j begins exactly q^j, so the basis is independent at any prec >= d
-    for k in range(8, 42, 2):
-        basis = cusp_basis_gamma02(k, 12)
+    # triangular: form j begins exactly q^j, so the basis is independent at any prec >= d;
+    # both channels count the same dimension at every level-2 weight the CLI serves (d <= 40)
+    for k in range(8, 166, 2):
+        basis = cusp_basis_gamma02(k, k // 4)
         assert len(basis) == (k - 2 - 2) // 4 == dim_cusp(2, k - 2)
         for j, f in enumerate(basis, 1):
             assert f.weight == k
             assert f.coeffs[: j + 1] == [0] * j + [1], (k, j)
     assert cusp_basis_gamma02(6, 12) == []
-    with pytest.raises(ValueError):
-        cusp_basis_gamma02(9, 12)
+    for k in (9, 2):
+        with pytest.raises(ValueError, match="k must be an even integer >= 4, got %d" % k):
+            cusp_basis_gamma02(k, 12)
 
 
 def test_cusp_basis_independent():
@@ -206,7 +208,7 @@ def test_cusp_basis_k12_spans_delta_pair():
     prec = 24
     basis = cusp_basis_gamma02(12, prec)
     delta = eta_quotient([(1, 24)], prec)
-    delta2 = QSeries(12, scale_variable(delta, 2).coeffs, prec=prec)
+    delta2 = scale_variable(delta, 2)
     rows = range(1, prec + 1)
     b = ExactMatrix([[f.coeff(r) for f in basis] for r in rows], cols=2)
     d = ExactMatrix([[f.coeff(r) for f in (delta, delta2)] for r in rows], cols=2)
@@ -232,6 +234,9 @@ def test_oracle_matrix_examples():
         hecke_matrix_oracle(6, 2)
     with pytest.raises(PrecisionError):
         hecke_matrix_oracle(12, 5, prec=8)
+    for k in (7, 2, -4):
+        with pytest.raises(ValueError, match="k must be an even integer >= 4, got %d" % k):
+            hecke_matrix_oracle(k, 2)
 
 
 def test_oracle_matrix_rejects_nonpositive_m():
@@ -249,6 +254,8 @@ def test_default_precision_policy():
 def test_theorem14_small_weights():
     rep8 = theorem14_check(8)
     assert rep8.dim == 1 and rep8.rank_first == 1 and rep8.rank_second == 1 and rep8.ok
+    rep10 = theorem14_check(10)
+    assert rep10.dim == dim_cusp(2, 8) == 1 and rep10.ok
     rep12 = theorem14_check(12)
     assert rep12.dim == 2 and rep12.ok
     with pytest.raises(ValueError):
@@ -267,6 +274,21 @@ def test_theorem14_ranks_match_the_full_family_matrices():
             ]
             full = ExactMatrix.from_columns([f.num[1:] for f in family], [f.den for f in family])
             assert got == rank(full), (k, low)
+
+
+def test_theorem14_counts_its_own_dimension(monkeypatch):
+    # the verdict reads d off the basis it builds: with the pipeline's dimension patched to d - 1 wherever
+    # the oracle could read it, a family of d - 1 >= 1 forms must not pass as spanning the d-dimensional space
+    true_dim = {k: dim_cusp(2, k - 2) for k in range(12, 93, 2)}
+    for owner in (heckeop, heckepoly, qoracle):
+        monkeypatch.setattr(owner, "dim_cusp", lambda level, w: true_dim[w + 2] - 1, raising=False)
+    built = []
+    build = qoracle.cusp_basis_gamma02
+    monkeypatch.setattr(qoracle, "cusp_basis_gamma02", lambda k, prec: built.append(build(k, prec)) or built[-1])
+    for k, d in true_dim.items():
+        report = theorem14_check(k)
+        assert report.dim == len(built[-1]) == d, k
+        assert report.ok, k
 
 
 def test_theorem14_products_are_cuspidal():
@@ -500,7 +522,7 @@ def test_hecke_on_qseries_prime_powers_match_divisor_formula():
         a = f.coeffs
         for p, r in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)):
             q = p**r
-            image = hecke_on_qseries(f, k, q)
+            image = hecke_on_qseries(f, q)
             assert image.prec == prec // q
             if p == 2:
                 expected = [a[q * n] for n in range(prec // q + 1)]
@@ -595,7 +617,7 @@ def test_oracle_matrix_is_similar_to_the_monomial_basis_matrix(capsys, argv):
     k, m, prec = payload["weight"], payload["m"], payload["prec"]
     t_new = ExactMatrix([[Fraction(x) for x in row] for row in payload["T"]])
     old = fraction_monomial_family(k, prec)
-    images = [hecke_on_qseries(QSeries(k, f), k, m).coeffs for f in old]
+    images = [hecke_on_qseries(QSeries(k, f), m).coeffs for f in old]
     image_rows = range(1, prec // m + 1)
     t_old = solve_right(coefficient_matrix(old, image_rows), coefficient_matrix(images, image_rows))
     new = [f.coeffs for f in cusp_basis_gamma02(k, prec)]
@@ -621,5 +643,5 @@ def test_oracle_matches_pipeline_k26_to_40():
 def test_hecke_on_qseries_huge_index_on_cusp_forms():
     # with a_0 = 0 only the divisors of m up to prec // m matter, so a huge prime m costs nothing
     f = cusp_basis_gamma02(12, 40)[0]
-    assert hecke_on_qseries(f, 12, 2**61 - 1).coeffs == [0]
-    assert hecke_on_qseries(f, 12, 3 * (2**61 - 1)).coeffs == [0]
+    assert hecke_on_qseries(f, 2**61 - 1).coeffs == [0]
+    assert hecke_on_qseries(f, 3 * (2**61 - 1)).coeffs == [0]

@@ -12,13 +12,16 @@ PACKAGE_DIR = Path(heckepoly.__file__).parent
 
 
 def _imports(path):
-    """(line, absolute top-level module or None for a relative import) for each import in a file."""
+    """(line, module) for each import in a file: an absolute import's top-level module, a relative one's ".name"."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [alias.name for alias in node.names]:
+                yield node.lineno, "." + name.partition(".")[0]
         elif isinstance(node, ast.ImportFrom):
-            yield node.lineno, None if node.level else node.module.partition(".")[0]
+            yield node.lineno, node.module.partition(".")[0]
 
 
 def test_package_imports_only_stdlib_or_relative():
@@ -28,7 +31,18 @@ def test_package_imports_only_stdlib_or_relative():
         "%s:%d %s" % (path.name, line, module)
         for path in sources
         for line, module in _imports(path)
-        if module is not None and module not in sys.stdlib_module_names
+        if not module.startswith(".") and module not in sys.stdlib_module_names
+    ]
+    assert offenders == []
+
+
+def test_qoracle_imports_only_the_exact_arithmetic_layers():
+    # the q-expansion oracle is the independent channel: no module of the period pipeline may feed it
+    allowed = {".errors", ".exactlinalg", ".exactnum", ".polyring"}
+    offenders = [
+        "qoracle.py:%d %s" % (line, module)
+        for line, module in _imports(PACKAGE_DIR / "qoracle.py")
+        if module not in allowed and module not in sys.stdlib_module_names
     ]
     assert offenders == []
 
