@@ -43,9 +43,8 @@ LIMITS = {
     "level": 10**6,
     # |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
     "--list-matrices m": 1000,
-    # the collapsed sum is O(m (tau + w)): 9.5 s at level 2, w = 30, m = 10^5
-    "hecke-sum m": 10**5,
-    # hecke-sum grows like m (w + 1) on top of B_(w+1): 0.55-0.86 s at level 5, w = 1098, m = 27, ~0.22 s of it B_1099
+    # hecke-sum grows like m (w + 1) on top of B_(w+1), and w >= 2 stops m at 10,000: 0.41-0.64 s at level 5,
+    # w = 1098, m = 27 (bernoulli --n 1100 alone takes 0.31 s) and 0.26-0.31 s at level 2, w = 2, m = 10,000
     "m (w + 1)": 30_000,
     # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: "d prec^2")
     "prec": 2000,
@@ -137,7 +136,6 @@ def _cmd_hecke_sum(args):
         _require("--list-matrices m", args.m)
         _emit([list(mat) for mat in enumerate_H_neg(args.level, args.m)])
         return
-    _require("hecke-sum m", args.m)
     _require("Bernoulli index", args.w + 1)
     _require("m (w + 1)", args.m * (args.w + 1), "%d * %d" % (args.m, args.w + 1))
     ctx = PeriodContext(args.level, args.w, args.n)
@@ -302,7 +300,7 @@ def build_parser():
     p.add_argument("--level", type=int, required=True, help=_cap("level"))
     p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="%s and %s" % (_cap("hecke-sum m"), _cap("m (w + 1)")))
+    p.add_argument("--m", type=int, required=True, help=_cap("m (w + 1)"))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     group.add_argument("--corrected", action="store_true", help="apply the correction (default)")

@@ -1,28 +1,26 @@
 """Hecke-side period polynomial sums.
 
-The index-m analogue of the period polynomial is a sum over the set H_{N,m}
-of integer matrices of determinant m with N | c and gcd(a, N) = 1: a
-sign-restricted part over abcd < 0 plus a diagonal part over ad = m, with a
-Moebius double-sum correction when N | m.
+The index-m analogue of the period polynomial is a sum over the set H_{N,m} of integer matrices of
+determinant m with N | c and gcd(a, N) = 1: a sign-restricted part over abcd < 0 plus a diagonal part
+over ad = m, with a Moebius double-sum correction when N | m.  The diagonal part and the correction
+are, like s_poly, ``periodpoly.period_sum`` passes over the index's two Bernoulli rows.
 
-The sign-restricted part is never summed matrix by matrix.  Its members with
-a > 0 are (a, b, -c, d) and (a, -b, c, d) with a, b, c, d > 0, ad = s and
-bc = t = m - s, and X -> (b/a)X turns (aX+b)^n (-cX+d)^nt into
-b^n a^-nt (1+X)^n (s - tX)^nt, so
+The sign-restricted part is never summed matrix by matrix.  Its members with a > 0 are (a, b, -c, d)
+and (a, -b, c, d) with a, b, c, d > 0, ad = s and bc = t = m - s; N | c forces N | t, so only
+s = m mod N contribute.  X -> (b/a)X turns (aX+b)^n (-cX+d)^nt into b^n a^-nt P(s, t), with the
+integer "pencil" P(s, t) = (1+X)^n (s - tX)^nt, so the X^k coefficient is a^(k-nt) b^(n-k) P_k.
+The pair sums to g(X) - (-1)^n g(-X), which keeps the k with n + k odd, doubled.  Four identities
+cut the big-integer work of the sum over the divisor pairs of s and t:
 
-    [X^k] (aX+b)^n (-cX+d)^nt = a^(k-nt) b^(n-k) [X^k] (1+X)^n (s - tX)^nt.
-
-The pair sums to g(X) - (-1)^n g(-X), which keeps the k with n + k odd,
-doubled.  Summed over the divisor pairs of s and t, each coefficient is one
-"pencil" coefficient times two divisor power sums; negative powers of a
-(of b) are written as powers of d = s/a (of c = t/b) over a power of s
-(of t), and that power divides the product exactly because the product is
-the integer sum of the per-matrix coefficients.
-
-Every power is read from one table x^0..x^w, x < m, and the divisor power
-sums never depend on n, so ``sign_restricted_sum`` serves a list of indices
-from one pass.  The diagonal part and the Moebius correction are, like s_poly,
-``periodpoly.period_sum`` passes over the index's two Bernoulli rows.
+1. b-sums over u = t/N: b = t/c and c/N both run over the divisors of u, so a negative power sum
+   of b is (sum of b^e over b | u) / u^e.
+2. One s-side sum when gcd(m, N) = 1: then every s is prime to N and a = s/d runs over all divisors
+   of s, so the d-sum that writes a negative power sum of a as (sum of d^e) / s^e is the a-sum.
+3. One pencil per pair when N | m: then t is a visited s too, and X^w P(s, t)(1/X) = (-1)^nt P(t, s),
+   so P(t, s)_k = (-1)^nt P(s, t)_(w-k).
+4. Divide first, double once: each binomial term of P_k carries s^(nt-i) t^i with k - n <= i <= k,
+   so s^(nt-k) u^(k-n) (positive exponents only) divides P_k before the sums multiply it, and each
+   finished polynomial is doubled once.
 """
 
 from itertools import accumulate, repeat
@@ -91,50 +89,51 @@ def _pencil(n, nt, s, t):
 def sign_restricted_sum(level, w, ns, m):
     """(1/2) sum over H_neg of sgn(ab) (aX+b)^n (cX+d)^nt, in closed form, for each n in ns.
 
-    H_neg is closed under global negation and the two members of an orbit
-    contribute equal summands (w is even), so the a > 0 representatives,
-    taken once, carry the 1/2 exactly.  For ad = s, bc = t = m - s their
-    X^k coefficients sum to
-
-        2 P_k (sum of a^(k-nt)) (sum of b^(n-k))    for n + k odd, else 0,
-
-    with P = (1+X)^n (s - tX)^nt (see the module docstring).  For k < nt the
-    a-sum is (sum of d^(nt-k)) / s^(nt-k) and for k > n the b-sum is
-    (sum of c^(k-n)) / t^(k-n); the product is divided once, exactly.
-    N | c forces N | t, so only s = m mod N contribute.  The powers x^e,
-    x < m, e <= w, are tabulated once per call (m (w + 1) integers); per s
-    the four power sums are sums of table rows and s^e, t^e are table rows,
-    shared by every index; only the pencil is per n.
+    H_neg is closed under global negation and the two members of an orbit contribute equal summands
+    (w is even), so the a > 0 representatives, taken once, carry the 1/2 exactly.  At one s they sum
+    to 2 P_k (sum of a^(k-nt)) (sum of b^(n-k)) at n + k odd, by the module docstring's identities.
+    The powers x^e, x < m, e <= w, are tabulated once per call (m (w + 1) integers) and every power
+    sum adds table rows; the sums serve every index, and only the pencil is per n.
     Returns one integer-coefficient polynomial per n, in the order of ns.
     """
     ns = list(ns)
     for n in ns:
         PeriodContext(level, w, n)  # checks level >= 2, w even and 0 <= n <= w
+    if m < 1:
+        raise ValueError("m must be positive")
     accs = [[0] * (w + 1) for _ in ns]
     powers = [list(accumulate(repeat(x, w), mul, initial=1)) for x in range(m)]  # powers[x][e] = x^e
-    for s in range(m % level or level, m, level):
-        t = m - s
+
+    def row_sums(xs):  # [sum of x^e over x in xs, e = 0..w]
+        return list(map(sum, zip(*(powers[x] for x in xs))))
+
+    def side(s):  # a-sums, d-sums (identity 2), b-sums over u = (m - s)/N (identity 1), s^e and u^e
         avals = [a for a in divisors(s) if gcd(a, level) == 1]
-        cvals = [c for c in divisors(t) if c % level == 0]  # c = t is one, as level | t
-        a_sums, d_sums, b_sums, c_sums = (  # [sum of x^e over x in xs, e = 0..w], by adding table rows
-            list(map(sum, zip(*(powers[x] for x in xs))))
-            for xs in (avals, [s // a for a in avals], [t // c for c in cvals], cvals)
-        )
-        s_pows, t_pows = powers[s], powers[t]
+        a_sums, u = row_sums(avals), (m - s) // level
+        d_sums = a_sums if gcd(m, level) == 1 else row_sums([s // a for a in avals])
+        return a_sums, d_sums, row_sums(divisors(u)), powers[s], powers[u]
+
+    paired = m % level == 0  # identity 3: m - s is visited with s, on the pencil of s
+    for s in range(m % level or level, m // 2 + 1 if paired else m, level):
+        sides = [side(s), side(m - s)] if paired and 2 * s != m else [side(s)]
         for n, acc in zip(ns, accs):
             nt = w - n
-            pencil = _pencil(n, nt, s, t)
-            for k in range((n + 1) % 2, w + 1, 2):
-                if k >= nt:
-                    a_part, den = a_sums[k - nt], 1
-                else:
-                    a_part, den = d_sums[nt - k], s_pows[nt - k]
-                if k <= n:
-                    b_part = b_sums[n - k]
-                else:
-                    b_part, den = c_sums[k - n], den * t_pows[k - n]
-                acc[k] += 2 * (pencil[k] * a_part * b_part // den)
-    return [BoundedPolynomial._over(acc, 1) for acc in accs]
+            pencil = _pencil(n, nt, s, m - s)
+            for coeffs, sign, (a_sums, d_sums, b_sums, s_pows, u_pows) in zip(
+                (pencil, pencil[::-1]), (1, (-1) ** nt), sides
+            ):
+                for k in range((n + 1) % 2, w + 1, 2):
+                    c = coeffs[k]
+                    if k < nt:
+                        c, a_part = c // s_pows[nt - k], d_sums[nt - k]
+                    else:
+                        a_part = a_sums[k - nt]
+                    if k > n:
+                        c, b_part = c // u_pows[k - n], b_sums[k - n]
+                    else:
+                        b_part = b_sums[n - k]
+                    acc[k] += sign * c * a_part * b_part
+    return [BoundedPolynomial._over([2 * x for x in acc], 1) for acc in accs]
 
 
 def _diagonal_pairs(level, m):

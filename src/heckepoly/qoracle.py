@@ -148,7 +148,7 @@ def eisenstein_level1(k, prec):
     weight-2 level-2 combination in m2_weight2.
     """
     if k < 2 or k % 2:
-        raise ValueError("k must be an even integer >= 2")
+        raise ValueError("k must be an even integer >= 2, got %d" % k)
     c = Fraction(-2 * k) / bernoulli_number(k)
     sigmas = [0] * (prec + 1)  # sigma_{k-1}(n) by one sieve: d^(k-1) goes to every multiple of d
     for d in range(1, prec + 1):
@@ -185,7 +185,7 @@ def eisenstein_gamma02(k, cusp, prec):
         E_0   = 2^k (E_k - E_k(2z)) / (2^k - 1).
     """
     if k < 4 or k % 2:
-        raise ValueError("k must be an even integer >= 4")
+        raise ValueError("k must be an even integer >= 4, got %d" % k)
     if cusp not in ("infinity", "zero"):
         raise ValueError("cusp must be 'infinity' or 'zero'")
     ek = eisenstein_level1(k, prec)

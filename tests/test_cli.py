@@ -129,11 +129,12 @@ def test_hecke_sum_list_matrices_cap(capsys):
 
 
 def test_hecke_sum_m_cap(capsys):
-    cap = LIMITS["hecke-sum m"]
-    _assert_precondition(
-        capsys, ("hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m", str(cap + 1)), _over_cap("hecke-sum m", cap + 1)
-    )
-    assert _help_shows_cap(capsys, "hecke-sum", "hecke-sum m")
+    # the product cap bounds m alone: w >= 2 gives w + 1 >= 3, so m stops at cap // 3 = 10,000
+    cap = LIMITS["m (w + 1)"]
+    for m in (cap // 3 + 1, 10**5 + 1, 10**9):
+        argv = ("hecke-sum", "--level", "2", "--w", "2", "--n", "1", "--m", str(m))
+        _assert_precondition(capsys, argv, _over_cap("m (w + 1)", "%d * 3" % m))
+    assert _help_shows_cap(capsys, "hecke-sum", "m (w + 1)")
 
 
 def test_q_series_precision_cap(capsys):
@@ -198,6 +199,11 @@ def test_eisenstein_weight_cap(capsys):
     for kind in ("E", "Einf", "E0"):
         _assert_precondition(capsys, ("qexp", "--form", "%s:%d" % (kind, k), "--prec", "5"), _over_cap("Bernoulli index", k))
     assert _help_shows_cap(capsys, "qexp", "Bernoulli index")
+
+
+def test_eisenstein_weight_error_names_the_weight(capsys):
+    for form, floor in (("E:3", 2), ("Einf:3", 4), ("E0:3", 4)):
+        _assert_precondition(capsys, ("qexp", "--form", form, "--prec", "5"), "k must be an even integer >= %d, got 3" % floor)
 
 
 def test_charpoly_beyond_weight_62(capsys):

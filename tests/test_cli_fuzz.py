@@ -66,7 +66,7 @@ SUBCOMMANDS = {
     "period-poly": {**PERIOD, "--sign": (("plus", "minus"), ("zero",)), "--format": FORMAT},
     "hecke-sum": {
         **PERIOD,
-        "--m": (("1", "2", "3", "8"), (_over("--list-matrices m"), _over("hecke-sum m"), _over("m (w + 1)"), *NOT_INTS)),
+        "--m": (("1", "2", "3", "8"), (_over("--list-matrices m"), _over("m (w + 1)"), *NOT_INTS)),
         "--raw": SWITCH,
         "--corrected": SWITCH,
         "--list-matrices": SWITCH,
@@ -120,7 +120,6 @@ def _run(argv):
 OVER_CAP = {
     "level": ["period-poly", "--w", "6", "--n", "2", "--sign", "minus", "--level"],
     "--list-matrices m": ["hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--list-matrices", "--m"],
-    "hecke-sum m": ["hecke-sum", "--level", "2", "--w", "6", "--n", "2", "--m"],
     "m (w + 1)": ["hecke-sum", "--level", "2", "--w", "0", "--n", "2", "--m"],
     "prec": ["qexp", "--form", "E:4", "--prec"],
     "cusp space dimension": ["charpoly", "--level", "2", "--m", "2", "--w", str(W_OVER_DIM)],

@@ -257,6 +257,10 @@ def test_sign_restricted_sum_matches_per_matrix_expansion():
                 check(level, w, range(w + 1), m)
     check(5, 30, [0, 1, 2, 15, 28, 29, 30], 240)
     check(7, 30, [0, 1, 2, 15, 28, 29, 30], 210)
+    # 3 | 96: s and 96 - s share one pencil, reversed with the sign (-1)^nt, odd nt included
+    check(3, 30, [0, 1, 2, 15, 28, 29, 30], 96)
+    # gcd(98, 4) = 2 but 4 does not divide 98: neither the shared pencil nor d-sums equal to the a-sums apply
+    check(4, 30, [0, 1, 2, 15, 28, 29, 30], 98)
     # m = 256, the CLI's largest index, at w = 30: a power table of 256 rows to exponent 30 and the longest pencils
     check(2, 30, [2, 14, 28], 256)
 
@@ -273,3 +277,19 @@ def test_pencil_recurrence_matches_binomial_convolution():
                         for j, v in enumerate(right):
                             want[i + j] += u * v
                     assert _pencil(n, nt, s, t) == want, (n, nt, s, t)
+
+
+def test_pencil_reversal():
+    # X^w P(s, t)(1/X) = (-1)^nt P(t, s): the pencil of m - s is that of s, reversed, times (-1)^nt;
+    # t = 0 is left out, as _pencil divides by its s argument
+    for n in range(7):
+        for nt in range(7):
+            for s in (1, 2, 5, -3, 12):
+                for t in (1, 4, -2, 7, 30):
+                    assert _pencil(n, nt, t, s) == [(-1) ** nt * x for x in reversed(_pencil(n, nt, s, t))], (n, nt, s, t)
+
+
+def test_sign_restricted_sum_refuses_nonpositive_m():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be positive"):
+            sign_restricted_sum(2, 4, [2], m)
