@@ -48,14 +48,14 @@ LIMITS = {
     "m (w + 1)": 30_000,
     # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: "d prec^2")
     "prec": 2000,
-    # solve plus charpoly grow steeply in the dimension d: ~6.5 s at level 5, w = 80 (d = 39), m = 12
+    # solve plus charpoly grow steeply in the dimension d: 6.0-6.4 s at level 5, w = 80 (d = 39), m = 12
     "cusp space dimension": 40,
-    # covers the benchmark grid (m <= 240); at the dimension cap, the top index takes 6 to 18 s
+    # covers the benchmark grid (m <= 240); at the dimension cap, the top index takes 5.3 to 12.7 s
     "index m": 256,
     # qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
     "eta sum |r|": 300,
     # oracle-matrix at m = 2: 0.65-0.86 s at weight 162 (d = 39), prec 299, 0.30-0.32 s at weight 12, prec 1322;
-    # a larger m adds charpoly time: 1.7-1.8 s at weight 164 (d = 40), m = 7, prec 295
+    # a larger m adds charpoly time: 1.36-1.41 s at weight 164 (d = 40), m = 7, prec 295
     "d prec^2": 3_500_000,
     # B_0..B_k from k boustrophedon rows, O(k^2) integer additions: bernoulli --n 1100 takes 0.3-0.4 s
     "Bernoulli index": 1100,

@@ -97,7 +97,7 @@ class ExactMatrix:
     def transpose(self):
         # a row of self is not over one denominator, so put the whole matrix over L first
         rows, den = self._common()
-        return ExactMatrix._over([list(col) for col in zip(*rows)], [den] * self.rows)
+        return ExactMatrix._over([[row[j] for row in rows] for j in range(self.cols)], [den] * self.rows)
 
     def trace(self):
         if not self.is_square():
@@ -276,7 +276,11 @@ def charpoly(mat):
 
     Division-free Berkowitz recursion (Berkowitz 1984) on the integer matrix
     L M = num diag(L / dens), L the lcm of the column denominators; then
-    c_k(M) = c_k(L M) / L^(n-k).
+    c_k(M) = c_k(L M) / L^(n-k).  Each Toeplitz entry R A^k C of block r,
+    [[a, R], [C, A]] with A of size s and k < s, is (R A^(k//2)) (A^((k+1)//2) C),
+    the baby-step split of Kaltofen (ISSAC 1992): a chained vector gains about
+    one entry's bits per product, so two chains of about s/2 products reach
+    about half the bits of one chain A^k C.
     """
     if not mat.is_square():
         raise ValueError("charpoly needs a square matrix")
@@ -285,15 +289,18 @@ def charpoly(mat):
     # descending coefficients of the charpoly of the trailing block m[r:, r:]
     vec = [1]
     for r in range(n - 1, -1, -1):
-        top = m[r][r + 1 :]
+        s = n - r - 1
         sub = [row[r + 1 :] for row in m[r + 1 :]]
-        v = [row[r] for row in m[r + 1 :]]
-        # first column of the Toeplitz factor: 1, -a, -R C, -R A C, ..., -R A^(s-2) C
-        toeplitz = [1, -m[r][r]]
-        for k in range(n - r - 1):
-            toeplitz.append(-sum(map(mul, top, v)))
-            if k < n - r - 2:
-                v = [sum(map(mul, row, v)) for row in sub]
+        # cols[j] = A^j C for j <= s/2, rows[j] = R A^j for j <= (s-1)/2
+        cols = [[row[r] for row in m[r + 1 :]]]
+        for _ in range(s // 2):
+            cols.append([sum(map(mul, row, cols[-1])) for row in sub])
+        rows = [m[r][r + 1 :]]
+        sub_t = list(zip(*sub)) if s > 2 else ()  # A's columns, for a row chain, which only s > 2 has
+        for _ in range((s - 1) // 2):
+            rows.append([sum(map(mul, col, rows[-1])) for col in sub_t])
+        # first column of the Toeplitz factor: 1, -a, -R C, -R A C, ..., -R A^(s-1) C
+        toeplitz = [1, -m[r][r]] + [-sum(map(mul, rows[k // 2], cols[(k + 1) // 2])) for k in range(s)]
         vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i + 1, len(vec)))) for i in range(n - r + 1)]
     return [Fraction(vec[n - k], scale ** (n - k)) for k in range(n + 1)]
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, divisors
+from .exactnum import bernoulli_number, sigma
 from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
 
 
@@ -205,11 +205,12 @@ def hecke_on_qseries(f, m):
     if m < 1:
         raise ValueError("m must be positive")
     top = f.prec // m
-    # a divisor of gcd(m, n) with n >= 1 is at most top; only a_0 != 0 needs every divisor of m
-    candidates = divisors(m) if f.num[0] else range(1, top + 1, 2)
-    odd = [(d, d ** (f.weight - 1)) for d in candidates if d % 2 and m % d == 0]
-    num = [sum(e * f.num[m * n // (d * d)] for d, e in odd if n % d == 0) for n in range(top + 1)]
-    return QSeries._over(f.weight, num, f.den)
+    # a divisor of gcd(m, n) with n >= 1 is at most top; n = 0 meets every odd d | m, so
+    # a_0(T_m f) = a_0 sigma_(k-1)(odd part of m), not summed at all when a_0 = 0
+    odd = [(d, d ** (f.weight - 1)) for d in range(1, top + 1, 2) if m % d == 0]
+    num = [sum(e * f.num[m * n // (d * d)] for d, e in odd if n % d == 0) for n in range(1, top + 1)]
+    a0 = f.num[0] and f.num[0] * sigma(f.weight - 1, m // (m & -m))
+    return QSeries._over(f.weight, [a0] + num, f.den)
 
 
 def _basis_orders(k):

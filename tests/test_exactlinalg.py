@@ -1,11 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 
 from heckepoly import exactlinalg
 from heckepoly.errors import (
+    BasisDeficientError,
     InconsistentSystemError,
     SingularMatrixError,
     UnderdeterminedSystemError,
@@ -20,6 +23,7 @@ from heckepoly.exactlinalg import (
     solve_right,
 )
 from heckepoly.exactnum import bernoulli_number
+from heckepoly.heckeop import hecke_charpoly, hecke_matrix
 
 
 def test_matrix_basics():
@@ -384,6 +388,93 @@ def test_charpoly_matches_faddeev_leverrier():
         assert all(isinstance(c, Fraction) for c in cp)
 
 
+# The one-sided Berkowitz recursion, one column chain A^k C per block, is the
+# reference for charpoly's split chains (R A^(k//2)) (A^((k+1)//2) C).
+
+
+def _berkowitz_one_sided(mat):
+    n = mat.rows
+    m, scale = mat._common()
+    vec = [1]
+    for r in range(n - 1, -1, -1):
+        top = m[r][r + 1 :]
+        sub = [row[r + 1 :] for row in m[r + 1 :]]
+        v = [row[r] for row in m[r + 1 :]]
+        toeplitz = [1, -m[r][r]]
+        for k in range(n - r - 1):
+            toeplitz.append(-sum(map(mul, top, v)))
+            if k < n - r - 2:
+                v = [sum(map(mul, row, v)) for row in sub]
+        vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i + 1, len(vec)))) for i in range(n - r + 1)]
+    return [Fraction(vec[n - k], scale ** (n - k)) for k in range(n + 1)]
+
+
+def _poly_from_roots(roots):
+    """Ascending coefficients of prod (x - root)."""
+    coeffs = [Fraction(1)]
+    for root in roots:
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= root * coeffs[i + 1]
+    return coeffs
+
+
+def test_charpoly_matches_one_sided_berkowitz_on_random_families():
+    rng = random.Random(808)
+    for n in range(13):
+        for _ in range(3):
+            general = ExactMatrix(_random_rows(rng, n, n), cols=n)
+            assert n < 2 or general != general.transpose()
+            assert charpoly(general) == _berkowitz_one_sided(general), n
+            # nilpotent, diagonal and rank-1 forms, each also conjugated by a random invertible P
+            upper = ExactMatrix([[_random_rational(rng) if j > i else 0 for j in range(n)] for i in range(n)], cols=n)
+            roots = [_random_rational(rng) for _ in range(n)]
+            diagonal = ExactMatrix([[x * (i == j) for j, x in enumerate(roots)] for i in range(n)], cols=n)
+            u, v = _random_rows(rng, 2, n)
+            rank_one = [Fraction(0)] * n + [Fraction(1)]
+            if n:
+                rank_one[n - 1] = -sum(map(mul, u, v))  # x^n - tr(u v^T) x^(n-1)
+            cases = [
+                (upper, [Fraction(0)] * n + [Fraction(1)]),
+                (diagonal, _poly_from_roots(roots)),
+                (ExactMatrix([[x * y for y in v] for x in u], cols=n), rank_one),
+            ]
+            p = ExactMatrix(_random_rows(rng, n, n), cols=n)
+            while not determinant(p):
+                p = ExactMatrix(_random_rows(rng, n, n), cols=n)
+            p_inv = mat_inverse(p)
+            for mat, expected in cases:
+                for form in (mat, p * mat * p_inv):
+                    assert charpoly(form) == _berkowitz_one_sided(form) == expected, n
+
+
+def test_charpoly_matches_one_sided_berkowitz_on_pipeline_matrices():
+    served = 0
+    for level in (2, 3, 4, 5):
+        for w in (10, 24, 40):
+            for m in (2, 3, 12, 25):
+                try:
+                    t = hecke_matrix(level, w, m)
+                except BasisDeficientError:
+                    assert level == 5 and w % 4 == 2  # refused by design
+                    continue
+                assert charpoly(t) == _berkowitz_one_sided(t), (level, w, m)
+                served += 1
+    assert served == 44
+
+
+def test_charpoly_hashes_at_dimension_29_and_39():
+    # SHA-256 of the coefficients printed as "c_0 c_1 ... c_d", recorded from the one-sided recursion
+    recorded = {
+        (2, 160, 2): (39, "82e9e1a99ec24f40f17a6973794d9e8ba2102360c7810de62c1e3cd8e9f8e731"),
+        (5, 60, 2): (29, "79a1f77989efc8a2910d5407d7a7de85f137d9dd3e12c5edced473cde25d4377"),
+    }
+    for args, (d, digest) in recorded.items():
+        cp = hecke_charpoly(*args)
+        assert len(cp) == d + 1
+        assert hashlib.sha256(" ".join(map(str, cp)).encode()).hexdigest() == digest, args
+
+
 # The integer-column representation against a Fraction-list model: every
 # operation must give the model's values and leave the canonical form.
 
@@ -448,7 +539,9 @@ def test_representation_matches_fraction_model():
         assert (m.rows, m.cols) == (r, c)
         assert all(m[i, j] == rows[i][j] and type(m[i, j]) is Fraction for i in range(r) for j in range(c))
         assert m == ExactMatrix(rows, cols=c)
-        _checked(m.transpose(), [list(col) for col in zip(*rows)] if r else [])
+        # an r x c matrix has c rows once transposed, also when r or c is 0
+        _checked(m.transpose(), [[row[j] for row in rows] for j in range(c)])
+        assert m.transpose().transpose() == m
         other_rows = _model_rows(rng, r, c)
         other = ExactMatrix(other_rows, cols=c)
         _checked(m + other, [[x + y for x, y in zip(u, v)] for u, v in zip(rows, other_rows)])

@@ -538,6 +538,26 @@ def test_hecke_on_qseries_prime_powers_match_divisor_formula():
             assert image.coeffs == expected, (p, r)
 
 
+def test_hecke_on_qseries_odd_composite_index_matches_divisor_formula():
+    # a_n(T_m f) = sum over odd d | gcd(m, n) of d^(k-1) a(m n / d^2); save at m = 15, prec 250, m has odd
+    # divisors above prec // m, which meet only n = 0: a_0 != 0 on the Eisenstein series, a_0 = 0 on cusp forms
+    for k in (12, 14):
+        for prec in (100, 250):
+            forms = [eisenstein_gamma02(k, "zero", prec), eisenstein_gamma02(k, "infinity", prec)]
+            forms += cusp_basis_gamma02(k, prec)
+            for f in forms:
+                a = f.coeffs
+                for m in (15, 30, 45, 90, 105):
+                    image = hecke_on_qseries(f, m)
+                    top = prec // m
+                    assert image.prec == top
+                    expected = [
+                        sum(d ** (k - 1) * a[m * n // (d * d)] for d in range(1, m + 1, 2) if m % d == 0 == n % d)
+                        for n in range(top + 1)
+                    ]
+                    assert image.coeffs == expected, (k, prec, m)
+
+
 def fraction_m2(top):
     e2 = fraction_eisenstein(2, top)
     return [2 * e2[n // 2] * (n % 2 == 0) - e2[n] for n in range(top + 1)]
