@@ -17,7 +17,7 @@ from .errors import (
 from .exactlinalg import ExactMatrix, charpoly, determinant, hankel_bernoulli, mat_inverse
 from .exactnum import bernoulli_number, bernoulli_poly0, moebius, sigma
 from .heckeop import HeckeComputation, basis_matrix, dim_cusp, hecke_charpoly, hecke_computation, hecke_matrix
-from .heckesum import IntMat2, eigenvalue_w6, enumerate_H_neg, r_minus_hecke, s_poly_m
+from .heckesum import eigenvalue_w6, enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, assemble_from_periods, period_value, r_plus_odd, s_poly
 from .polyring import BoundedPolynomial, coeff_inner_product, compose_linear, reciprocal_scale
 from .qoracle import (
@@ -40,7 +40,6 @@ __all__ = [
     "ExactMatrix",
     "HeckeComputation",
     "HeckePolyError",
-    "IntMat2",
     "LevelError",
     "PeriodContext",
     "PrecisionError",

@@ -139,9 +139,8 @@ def _cmd_hecke_sum(args):
     _require("Bernoulli index", args.w + 1)
     _require("m (w + 1)", args.m * (args.w + 1), "%d * %d" % (args.m, args.w + 1))
     ctx = PeriodContext(args.level, args.w, args.n)
-    corrected = not args.raw
-    poly = r_minus_hecke(ctx, args.m) if corrected else s_poly_m(ctx, args.m)
-    payload = {"level": args.level, "w": args.w, "n": args.n, "m": args.m, "corrected": corrected}
+    poly = s_poly_m(ctx, args.m) if args.raw else r_minus_hecke(ctx, args.m)
+    payload = {"level": args.level, "w": args.w, "n": args.n, "m": args.m, "corrected": not args.raw}
     payload.update(poly_json(poly))
     _emit(payload)
 
@@ -165,7 +164,7 @@ def _cmd_hecke_matrix(args):
                 "S1": matrix_json(comp.s1),
                 "S2": matrix_json(comp.s2),
                 "T": matrix_json(comp.t),
-                "charpoly": coeffs_json(comp.charpoly()),
+                "charpoly": coeffs_json(_charpoly(comp.t)),
             }
         )
         return
@@ -301,9 +300,7 @@ def build_parser():
     p.add_argument("--w", type=int, required=True, help=w_help)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help=_cap("m (w + 1)"))
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true", help="omit the level|m correction term")
-    group.add_argument("--corrected", action="store_true", help="apply the correction (default)")
+    p.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     list_help = "dump the sign-restricted matrix set instead (%s)" % _cap("--list-matrices m")
     p.add_argument("--list-matrices", action="store_true", help=list_help)
     p.set_defaults(func=_cmd_hecke_sum)

@@ -38,12 +38,11 @@ class ExactMatrix:
     def __init__(self, entries, cols=None):
         entries = [[_as_fraction(x) for x in row] for row in entries]
         rows = len(entries)
-        if rows:
-            cols = len(entries[0])
-            if any(len(row) != cols for row in entries):
-                raise ValueError("ragged rows")
-        else:
-            cols = cols or 0
+        if cols is None:
+            cols = len(entries[0]) if rows else 0
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError("a row has %d entries, not cols = %d" % (len(row), cols))
         # the lcm of a column's reduced denominators is its least common one
         self.dens = [lcm(*(row[j].denominator for row in entries)) for j in range(cols)]
         self.num = [[x.numerator * (d // x.denominator) for x, d in zip(row, self.dens)] for row in entries]
@@ -71,10 +70,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n):
         return cls._over([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls._over([[0] * cols for _ in range(rows)], [1] * cols)
 
     @property
     def entries(self):

@@ -14,10 +14,9 @@ from operator import mul
 
 from .polyring import BoundedPolynomial
 
-# B_0, B_1 seed the table; the cache is only ever replaced by a longer copy.  _seidel_row pairs a cache length L
-# with boustrophedon row L - 2, whose successor gives B_L; a length that does not match restarts at row 0.
-_bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
-_seidel_row = (2, [1])
+# B_0, B_1 seed the table; beside it, boustrophedon row len(table) - 2, whose successor gives B_len(table).  The pair
+# is one value, only ever replaced by a longer one, so the table and its row always agree.
+_bernoulli = ([Fraction(1), Fraction(-1, 2)], [1])
 
 
 def bernoulli_number(k):
@@ -25,25 +24,23 @@ def bernoulli_number(k):
 
     Row r of Seidel's boustrophedon is the running sum of row r - 1 reversed, and odd row 2j - 1 ends in the
     tangent number T_j, so B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from integer additions only (Brent &
-    Harvey, arXiv:1108.0286).  A miss extends a private copy of the cache, from the row kept beside it or from
-    row 0, and then rebinds it, so the list a caller reads is never mutated and a caller on another thread
-    sees a shorter cache at worst, never a wrong entry.
+    Harvey, arXiv:1108.0286).  A miss extends a private copy of the table from the row kept with it and then
+    rebinds the pair in one assignment, so no list a caller holds is ever mutated and a caller on another
+    thread sees a shorter table at worst, never a wrong entry.
     """
-    global _bernoulli_cache, _seidel_row
+    global _bernoulli
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    cache = _bernoulli_cache
-    if k < len(cache):
-        return cache[k]
-    size, row = _seidel_row
-    cache, row = (list(cache), row) if size == len(cache) else (cache[:2], [1])
-    while len(cache) <= k:
-        row = list(accumulate(reversed(row), initial=0))  # row len(cache) - 1
-        j, odd = divmod(len(cache), 2)
-        cache.append(Fraction(0) if odd else Fraction((-1) ** (j - 1) * 2 * j * row[-1], 4**j * (4**j - 1)))
-    _seidel_row = (len(cache), row)
-    _bernoulli_cache = cache
-    return cache[k]
+    table, row = _bernoulli
+    if k < len(table):
+        return table[k]
+    table = list(table)
+    while len(table) <= k:
+        row = list(accumulate(reversed(row), initial=0))  # row len(table) - 1
+        j, odd = divmod(len(table), 2)
+        table.append(Fraction(0) if odd else Fraction((-1) ** (j - 1) * 2 * j * row[-1], 4**j * (4**j - 1)))
+    _bernoulli = (table, row)
+    return table[k]
 
 
 def power_sums(terms, k):
@@ -62,7 +59,7 @@ def bernoulli_poly0(k):
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    bs = [bernoulli_number(i) for i in range(0, k + 1, 2)]  # even-i B_i, at X^(k-i); a cache slice may be short
+    bs = [bernoulli_number(i) for i in range(0, k + 1, 2)]  # even-i B_i, at X^(k-i)
     den = lcm(*(b.denominator for b in bs))
     num = [0] * (k + 1)
     num[k::-2] = [comb(k, 2 * j) * b.numerator * (den // b.denominator) for j, b in enumerate(bs)]

@@ -70,16 +70,10 @@ def basis_matrix(w, which):
 class HeckeComputation(NamedTuple):
     """One full T_m computation with its intermediate matrices."""
 
-    level: int
-    w: int
-    m: int
     basis_indices: list
     s1: ExactMatrix
     s2: ExactMatrix
     t: ExactMatrix
-
-    def charpoly(self):
-        return charpoly(self.t)
 
 
 def _solve(level, w, m):
@@ -139,7 +133,7 @@ def hecke_computation(level, w, m):
     """
     indices, base, t = _solve(level, w, m)
     s1, s2 = gram(base, t)
-    return HeckeComputation(level=level, w=w, m=m, basis_indices=indices, s1=s1, s2=s2, t=t)
+    return HeckeComputation(indices, s1, s2, t)
 
 
 def hecke_matrix(level, w, m):

@@ -26,7 +26,6 @@ cut the big-integer work of the sum over the divisor pairs of s and t:
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .errors import UnsupportedParityError
 from .exactnum import bernoulli_poly0, divisors, moebius, sigma
@@ -34,15 +33,8 @@ from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period
 from .polyring import BoundedPolynomial
 
 
-class IntMat2(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-
-
 def enumerate_H_neg(level, m):
-    """All matrices in H_{level,m} with abcd < 0, sorted lexicographically.
+    """All matrices (a, b, c, d) in H_{level,m} with abcd < 0, as 4-tuples sorted lexicographically.
 
     abcd < 0 forces ad > 0 and bc < 0 (else the determinant would be negative),
     hence ad = s and |bc| = m - s with 1 <= s <= m - 1; splitting both values
@@ -59,10 +51,10 @@ def enumerate_H_neg(level, m):
         bpairs = [(b, t // b) for b in divisors(t) if (t // b) % level == 0]
         for a, d in apairs:
             for b, c in bpairs:
-                out.append(IntMat2(a, b, -c, d))
-                out.append(IntMat2(a, -b, c, d))
-                out.append(IntMat2(-a, b, -c, -d))
-                out.append(IntMat2(-a, -b, c, -d))
+                out.append((a, b, -c, d))
+                out.append((a, -b, c, d))
+                out.append((-a, b, -c, -d))
+                out.append((-a, -b, c, -d))
     out.sort()
     return out
 

@@ -86,10 +86,6 @@ class BoundedPolynomial:
     def zero(cls, bound):
         return cls([], bound=bound)
 
-    @classmethod
-    def monomial(cls, k, c=1, bound=None):
-        return cls([0] * k + [c], bound=k if bound is None else bound)
-
     @property
     def coeffs(self):
         return [Fraction(x, self.den) for x in self.num]
@@ -108,14 +104,6 @@ class BoundedPolynomial:
 
     def is_zero(self):
         return not any(self.num)
-
-    def with_bound(self, bound):
-        """Same polynomial under a new ambient cap; fails if the degree exceeds it."""
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if self.degree() > bound:
-            raise ValueError("coefficients exceed the degree bound %d" % bound)
-        return BoundedPolynomial._over(self.num[: bound + 1] + [0] * (bound - self.bound), self.den)
 
     def __neg__(self):
         return BoundedPolynomial._over([-x for x in self.num], self.den)

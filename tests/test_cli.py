@@ -106,6 +106,19 @@ def test_hecke_sum_raw_vs_corrected(capsys):
     assert corrected["coeffs"] != raw["coeffs"]
 
 
+def test_hecke_sum_has_no_corrected_switch(capsys):
+    # the corrected sum is what omitting --raw selects, so there is no switch that names it
+    with pytest.raises(SystemExit) as info:
+        main(["hecke-sum", "--level", "2", "--w", "10", "--n", "2", "--m", "2", "--corrected"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": {"code": "PreconditionViolated", "message": "heckepoly: unrecognized arguments: --corrected"}
+    }
+
+
 def test_hecke_sum_list_matrices(capsys):
     status, out, _ = run_cli(capsys, "hecke-sum", "--level", "4", "--w", "6", "--n", "2", "--m", "8", "--list-matrices")
     assert status == 0
@@ -569,7 +582,7 @@ def test_w_precondition_is_one_message(capsys, command, w):
 # SHA-256 of status, stdout and stderr over each grid, recorded before the period basis and the diagonal part
 # of its images were built from one pair of Bernoulli rows per index: hecke-sum at every interior n (odd n
 # included: --raw answers them, the corrected sum refuses them) and period-poly at level 5 must stay
-# byte-identical, errors included
+# byte-identical, errors included; "default" passes no flag, which selects the corrected sum
 _SUM_GRID = [
     ("--level", str(level), "--w", str(w), "--n", str(n), "--m", str(m))
     for level in (2, 3, 4, 5)
@@ -585,7 +598,7 @@ _LEVEL5_GRID = [
 ]
 _RUN_HASHES = {
     ("hecke-sum", "--raw"): "58cf04701145fa12de94893f5817ff2ae475bde40d39db93e42fb5687e07eb3b",
-    ("hecke-sum", "--corrected"): "db13e68fbf3ee6435aea0c2e35b7c4c87585e07bb0b09816e6f88ea35250b027",
+    ("hecke-sum", "default"): "db13e68fbf3ee6435aea0c2e35b7c4c87585e07bb0b09816e6f88ea35250b027",
     ("period-poly", "--format=json"): "087c22800d1acf463484d514cbf5b56fae6ae98a4d2c1072ca2ba6592b0c8758",
 }
 
@@ -594,6 +607,6 @@ _RUN_HASHES = {
 def test_hecke_sum_and_level5_period_poly_hashes(capsys, command, mode):
     digest = hashlib.sha256()
     for args in _SUM_GRID if command == "hecke-sum" else _LEVEL5_GRID:
-        status, out, err = run_cli(capsys, command, *args, mode)
+        status, out, err = run_cli(capsys, command, *args, *(() if mode == "default" else (mode,)))
         digest.update(("%d\n%s\n%s\n" % (status, out, err)).encode())
     assert digest.hexdigest() == _RUN_HASHES[command, mode]

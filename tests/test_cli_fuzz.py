@@ -68,7 +68,6 @@ SUBCOMMANDS = {
         **PERIOD,
         "--m": (("1", "2", "3", "8"), (_over("--list-matrices m"), _over("m (w + 1)"), *NOT_INTS)),
         "--raw": SWITCH,
-        "--corrected": SWITCH,
         "--list-matrices": SWITCH,
     },
     "hecke-matrix": {**HECKE, "--format": FORMAT},

@@ -36,6 +36,17 @@ def test_matrix_basics():
         ExactMatrix([[1, 2], [3]])
 
 
+def test_cols_must_match_the_rows():
+    # a width given beside the rows is checked against them, both ways, and named with the row's length
+    for entries, cols in (([[1, 2]], 3), ([[1, 2], [3, 4]], 1), ([[1, 2]], 0)):
+        with pytest.raises(ValueError, match="has 2 entries, not cols = %d" % cols):
+            ExactMatrix(entries, cols=cols)
+    assert ExactMatrix([[1, 2]], cols=2) == ExactMatrix([[1, 2]])
+    # with no rows, the width comes from cols alone
+    assert (ExactMatrix([], cols=3).rows, ExactMatrix([], cols=3).cols) == (0, 3)
+    assert (ExactMatrix([]).rows, ExactMatrix([]).cols) == (0, 0)
+
+
 def test_inverse_examples():
     ident = ExactMatrix.identity(4)
     assert mat_inverse(ident) == ident
@@ -114,7 +125,7 @@ def test_charpoly_trace_det_relations():
 def test_rank():
     assert rank(ExactMatrix([[1, 2], [2, 4], [3, 6]])) == 1
     assert rank(ExactMatrix.identity(3)) == 3
-    assert rank(ExactMatrix.zeros(2, 3)) == 0
+    assert rank(ExactMatrix([[0, 0, 0], [0, 0, 0]])) == 0
 
 
 def test_solve_right():
@@ -346,7 +357,7 @@ def test_solve_right_checks_rows_after_the_first_d(monkeypatch):
     # no unknowns: any nonzero right side is inconsistent, a zero one is solved by the empty matrix
     with pytest.raises(InconsistentSystemError):
         solve_right(ExactMatrix([[], []]), ExactMatrix([[0], [1]]))
-    assert solve_right(ExactMatrix([[], []]), ExactMatrix.zeros(2, 1)) == ExactMatrix([], cols=1)
+    assert solve_right(ExactMatrix([[], []]), ExactMatrix([[0], [0]])) == ExactMatrix([], cols=1)
 
 
 def test_rank_matches_gauss_jordan():
@@ -562,7 +573,7 @@ def test_representation_matches_fraction_model():
         n = r
         assert m.trace() == sum((rows[i][i] for i in range(n)), Fraction(0))
         _checked(ExactMatrix.identity(n), [[Fraction(i == j) for j in range(n)] for i in range(n)])
-        _checked(ExactMatrix.zeros(n, k), [[Fraction(0)] * k for _ in range(n)])
+        _checked(ExactMatrix([[0] * k for _ in range(n)], cols=k), [[Fraction(0)] * k for _ in range(n)])
         det = determinant(m)
         assert det == _cofactor_det(rows)
         assert rank(m) == len(_gauss_jordan(rows, [[]] * n)[1])

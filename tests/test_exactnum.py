@@ -2,6 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -53,32 +54,45 @@ def _bernoulli_by_recurrence(k):
     return table[: k + 1]
 
 
+_SEEDS = ([Fraction(1), Fraction(-1, 2)], [1])  # B_0, B_1 and boustrophedon row 0
+
+
+def _assert_row_continues_table(want):
+    # the row kept with a table of length L is boustrophedon row L - 2 (L - 1 entries); two steps from it give
+    # rows L - 1 and L, whose last entries (zigzag numbers) give B_L and B_(L+1), one of them at an even index
+    table, row = exactnum._bernoulli
+    assert len(row) == len(table) - 1
+    for k in (len(table), len(table) + 1):
+        row = list(accumulate(reversed(row), initial=0))
+        j, odd = divmod(k, 2)
+        assert (0 if odd else Fraction((-1) ** (j - 1) * 2 * j * row[-1], 4**j * (4**j - 1))) == want[k], k
+
+
 @pytest.mark.parametrize("walk", [False, True], ids=["filled", "walked"])
 def test_bernoulli_table_matches_recurrence(monkeypatch, walk):
     # filled from the two seeds in one call, or walked up one index at a time (each call a miss by one)
-    monkeypatch.setattr(exactnum, "_bernoulli_cache", exactnum._bernoulli_cache[:2])
-    monkeypatch.setattr(exactnum, "_seidel_row", (2, [1]))
+    monkeypatch.setattr(exactnum, "_bernoulli", _SEEDS)
     if not walk:
         bernoulli_number(300)
     assert [bernoulli_number(k) for k in range(301)] == _bernoulli_by_recurrence(300)
 
 
-def test_bernoulli_row_of_another_length_restarts(monkeypatch):
-    # a row kept beside a cache of another length (another thread rebound one of them) is not extended
-    want = _bernoulli_by_recurrence(120)
-    monkeypatch.setattr(exactnum, "_bernoulli_cache", want[:40])
-    monkeypatch.setattr(exactnum, "_seidel_row", (60, [1, 2, 3]))
-    assert bernoulli_number(120) == want[120]
-    assert exactnum._bernoulli_cache == want
-    assert exactnum._seidel_row[0] == 121
+@pytest.mark.parametrize("walk", [False, True], ids=["filled", "walked"])
+def test_bernoulli_row_continues_its_table(monkeypatch, walk):
+    want = _bernoulli_by_recurrence(122)
+    monkeypatch.setattr(exactnum, "_bernoulli", _SEEDS)
+    _assert_row_continues_table(want)
+    for k in [120] if not walk else range(121):
+        bernoulli_number(k)
+        _assert_row_continues_table(want)
+    assert exactnum._bernoulli[0] == want[:121]
 
 
 def test_bernoulli_table_under_contending_threads(monkeypatch):
     # eight threads walk the indices from the seeds, four upwards (each call a miss by one) and four in random
-    # orders, switching often: a thread may read a cache and a row that two other extensions rebound
-    want = _bernoulli_by_recurrence(240)
-    monkeypatch.setattr(exactnum, "_bernoulli_cache", exactnum._bernoulli_cache[:2])
-    monkeypatch.setattr(exactnum, "_seidel_row", (2, [1]))
+    # orders, switching often: a thread may read a table and row that two other extensions rebound
+    want = _bernoulli_by_recurrence(242)
+    monkeypatch.setattr(exactnum, "_bernoulli", _SEEDS)
     orders = [range(241)] * 4 + [random.Random(seed).sample(range(241), 241) for seed in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -89,7 +103,8 @@ def test_bernoulli_table_under_contending_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(b == want[k] for got in results for k, b in got)
-    assert exactnum._bernoulli_cache == want[: len(exactnum._bernoulli_cache)]
+    assert exactnum._bernoulli[0] == want[: len(exactnum._bernoulli[0])]
+    _assert_row_continues_table(want)
 
 
 def test_bernoulli_denominators_von_staudt_clausen():
@@ -119,16 +134,15 @@ def test_bernoulli_cache_thread_safety():
 
 
 def test_bernoulli_poly0_cache_thread_safety(monkeypatch):
-    # a thread that began extending the cache earlier may finish later and rebind it to a shorter copy, at
+    # a thread that began extending the table earlier may finish later and rebind it to a shorter one, at
     # any step of another thread's read; in worker threads reading whole rows and Bernoulli numbers at mixed
-    # k, a tracer that rebinds the shortest copy before every line run in exactnum stands in for that thread
-    short = exactnum._bernoulli_cache[:2]
-    monkeypatch.setattr(exactnum, "_bernoulli_cache", short)
+    # k, a tracer that rebinds the seeds before every line run in exactnum stands in for that thread
+    monkeypatch.setattr(exactnum, "_bernoulli", _SEEDS)
 
     def rebind_short(frame, event, arg):
         if frame.f_globals is not vars(exactnum):
             return None
-        exactnum._bernoulli_cache = short
+        exactnum._bernoulli = _SEEDS
         return rebind_short
 
     def read(k):

@@ -7,7 +7,6 @@ from heckepoly import heckesum
 from heckepoly.errors import UnsupportedParityError
 from heckepoly.exactnum import bernoulli_poly0, divisors, moebius
 from heckepoly.heckesum import (
-    IntMat2,
     _pencil,
     diagonal_sum,
     eigenvalue_w6,
@@ -29,15 +28,15 @@ def frac_poly(scale, coeffs, bound=None):
 
 def test_enumerate_examples():
     assert enumerate_H_neg(4, 8) == [
-        IntMat2(-1, -1, 4, -4),
-        IntMat2(-1, 1, -4, -4),
-        IntMat2(1, -1, 4, 4),
-        IntMat2(1, 1, -4, 4),
+        (-1, -1, 4, -4),
+        (-1, 1, -4, -4),
+        (1, -1, 4, 4),
+        (1, 1, -4, 4),
     ]
     assert enumerate_H_neg(2, 1) == []
     assert enumerate_H_neg(5, 1) == []
     assert sorted(enumerate_H_neg(2, 3)) == sorted(
-        [IntMat2(1, 1, -2, 1), IntMat2(1, -1, 2, 1), IntMat2(-1, 1, -2, -1), IntMat2(-1, -1, 2, -1)]
+        [(1, 1, -2, 1), (1, -1, 2, 1), (-1, 1, -2, -1), (-1, -1, 2, -1)]
     )
 
 
@@ -60,7 +59,7 @@ def test_enumerate_matches_exhaustive_scan():
         from math import gcd
 
         brute = sorted(
-            IntMat2(a, b, c, d)
+            (a, b, c, d)
             for a in range(-m, m + 1)
             for b in range(-m, m + 1)
             for c in range(-m, m + 1)
@@ -74,7 +73,7 @@ def test_negation_closure_and_equal_summands():
     for level, m in ((2, 5), (4, 8), (3, 9)):
         mats = set(enumerate_H_neg(level, m))
         for a, b, c, d in mats:
-            assert IntMat2(-a, -b, -c, -d) in mats
+            assert (-a, -b, -c, -d) in mats
 
 
 def test_s_poly_m_vanishing_example():
@@ -158,7 +157,8 @@ def _diagonal_sum_by_composition(ctx, m):
         d = m // a
         scaled = reciprocal_scale(compose_linear(bernoulli_poly0(nt + 1), d, 0), level, w)
         total = total + Fraction(a**n * level**nt, nt + 1) * scaled
-        total = total - Fraction(d**nt, n + 1) * compose_linear(bernoulli_poly0(n + 1), a, 0).with_bound(w)
+        composed = BoundedPolynomial(compose_linear(bernoulli_poly0(n + 1), a, 0).coeffs, bound=w)
+        total = total - Fraction(d**nt, n + 1) * composed
     return total
 
 
