@@ -57,6 +57,8 @@ LIMITS = {
     # oracle-matrix at m = 2: 0.65-0.86 s at weight 162 (d = 39), prec 299, 0.30-0.32 s at weight 12, prec 1322;
     # a larger m adds charpoly time: 1.36-1.41 s at weight 164 (d = 40), m = 7, prec 295
     "d prec^2": 3_500_000,
+    # every m served when T_m needed prec // m >= d rows; at weight 164 (d = 40), prec 295, m = 1944 takes 9.8 s
+    "oracle-matrix m": 2000,
     # B_0..B_k from k boustrophedon rows, O(k^2) integer additions: bernoulli --n 1100 takes 0.3-0.4 s
     "Bernoulli index": 1100,
     # Bareiss on the n x n Bernoulli Hankel matrix grows like n^7: hankel --n 50 takes ~10 s, --n 60 took 30 s
@@ -244,6 +246,7 @@ def _cmd_oracle_matrix(args):
         raise ValueError("weight must be an even integer >= 4, got %d" % args.weight)
     if args.prec < 0:
         raise ValueError("prec must be positive (0 selects the default), got %d" % args.prec)
+    _require("oracle-matrix m", args.m)
     prec = args.prec or default_precision(args.weight, args.m)
     _require("prec", prec)
     _require("cusp space dimension", d := dim_cusp(2, args.weight - 2))
@@ -331,7 +334,7 @@ def build_parser():
 
     p = sub.add_parser("oracle-matrix", help="Hecke matrix from q-expansions")
     p.add_argument("--weight", type=int, required=True, help="even, >= 4; S_weight(Gamma0(2)) needs " + _cap("cusp space dimension"))
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=_cap("oracle-matrix m"))
     p.add_argument("--prec", type=int, default=0, help="0: the Sturm-bound default; %s, %s" % (_cap("prec"), _cap("d prec^2")))
     p.set_defaults(func=_cmd_oracle_matrix)
 

@@ -4,7 +4,8 @@ Truncated q-series (integer numerators over one denominator): eta quotients
 by the recurrence of their logarithmic derivative, Eisenstein series at both
 cusps of Gamma0(2), Hecke action on coefficients, a triangular cusp-form
 basis of one eta quotient per form (times M2 at weights 2 mod 4), and oracle
-Hecke matrices to cross-check the period-polynomial pipeline.
+Hecke matrices to cross-check the period-polynomial pipeline: T_p from
+q-expansions at each prime p | m, T_m from the Hecke relations.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, sigma
+from .exactnum import bernoulli_number, factorize, sigma
 from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
 
 
@@ -253,30 +254,40 @@ def _coefficient_matrix(series, nrows):
 def hecke_matrix_oracle(k, m, prec=None):
     """Matrix of T_m on the weight-k cusp space, from q-expansions alone.
 
-    Expresses the image of each basis element back in the basis by an exact
-    linear solve over coefficients 1 .. prec//m.  d is the oracle basis's own
-    length; form j begins with q^j, so rows 1 .. d are unitriangular and give
-    d pivots: the one precision rule is PrecisionError below d usable rows,
-    and an image that leaves the basis's span raises BasisDeficientError.
+    Each prime p | m gives T_p: the basis coordinates of its images, by one
+    exact solve over coefficients 1 .. prec//P, P the largest prime of m (1
+    at m = 1).  T_m follows by the Hecke relations (Diamond-Shurman, GTM 228,
+    section 5.3): T_ab = T_a T_b for coprime a, b; T_(2^a) = T_2^a as 2
+    divides the level; T_(p^(j+1)) = T_p T_(p^j) - p^(k-1) T_(p^(j-1)) at
+    odd p.  Form j begins with q^j, so rows 1 .. d give d pivots: the one
+    precision rule is PrecisionError when prec // P < d, and an image that
+    leaves the basis's span raises BasisDeficientError.
     """
     if m < 1:
         raise ValueError("m must be positive")
     d = len(_basis_orders(k))
     if d < 1:
         raise EmptySpaceError("dimension 0 at weight %d on Gamma0(2)" % k)
+    factors = factorize(m)
+    top = factors[-1][0] if factors else 1
     if prec is None:
-        prec = default_precision(k, m)
-    nrows = prec // m
+        prec = default_precision(k, top)
+    nrows = prec // top
     if nrows < d:
-        raise PrecisionError("only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, m * d))
+        raise PrecisionError("only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, top * d))
     basis = cusp_basis_gamma02(k, prec)
-    images = [hecke_on_qseries(f, m) for f in basis]
-    try:
-        return solve_right(_coefficient_matrix(basis, nrows), _coefficient_matrix(images, nrows))
-    except InconsistentSystemError as exc:
-        raise BasisDeficientError(
-            "T_%d image leaves the span of the oracle basis at weight %d" % (m, k)
-        ) from exc
+    t = identity = ExactMatrix.identity(d)
+    for p, a in factors:
+        images = [hecke_on_qseries(f, p) for f in basis]
+        try:
+            tp = solve_right(_coefficient_matrix(basis, nrows), _coefficient_matrix(images, nrows))
+        except InconsistentSystemError as exc:
+            raise BasisDeficientError("T_%d image leaves the span of the oracle basis at weight %d" % (p, k)) from exc
+        previous, power = identity, tp
+        for _ in range(a - 1):
+            previous, power = power, tp * power - (p % 2) * p ** (k - 1) * previous
+        t = t * power
+    return t
 
 
 class Theorem14Report(NamedTuple):

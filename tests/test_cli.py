@@ -434,6 +434,24 @@ def test_oracle_work_cap(capsys):
     assert _help_shows_cap(capsys, "oracle-matrix", "d prec^2")
 
 
+def test_oracle_index_cap_and_largest_prime_precision(capsys):
+    # an explicit prec needs only P d rows, P the largest prime of m: weight 12 (d = 2), m = 12 takes prec 6
+    status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "12", "--prec", "6")
+    assert status == 0
+    served = json.loads(out)["charpoly"]
+    status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "12")
+    assert (status, json.loads(out)["charpoly"]) == (0, served)
+    status, out, err = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", "12", "--prec", "5")
+    assert (status, out, json.loads(err)["error"]["code"]) == (1, "", "PrecisionTooLow")
+    # m at the cap is served; one past it is refused before any work
+    cap = LIMITS["oracle-matrix m"]
+    status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", "12", "--m", str(cap), "--prec", "40")
+    assert status == 0
+    argv = ("oracle-matrix", "--weight", "12", "--m", str(10**40), "--prec", "40")
+    _assert_precondition(capsys, argv, _over_cap("oracle-matrix m", 10**40))
+    assert _help_shows_cap(capsys, "oracle-matrix", "oracle-matrix m")
+
+
 def test_hecke_sum_work_cap(capsys):
     # m (w + 1) = 28 * 1099 is refused before B_1099 is computed; 6000 * 5 sits at the cap
     assert LIMITS["m (w + 1)"] == 6000 * 5

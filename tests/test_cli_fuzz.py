@@ -125,6 +125,7 @@ OVER_CAP = {
     "index m": ["charpoly", "--level", "2", "--w", "10", "--m"],
     "eta sum |r|": ["qexp", "--form", "eta:1^-%d,%d^1" % (ETA_OVER, ETA_OVER)],
     "d prec^2": ["oracle-matrix", "--weight", "12", "--m", "2", "--prec", "1323"],
+    "oracle-matrix m": ["oracle-matrix", "--weight", "12", "--prec", "40", "--m"],
     "Bernoulli index": ["bernoulli", "--n"],
     "hankel n": ["hankel", "--which", "1", "--n"],
     **{"%s --max-weight" % suite: ["verify", "--suite", suite, "--max-weight"] for suite in SUITES if SUITES[suite][1]},

@@ -9,7 +9,7 @@ import pytest
 import heckepoly
 from heckepoly import heckeop, qoracle
 from heckepoly.cli import main
-from heckepoly.errors import EmptySpaceError, PrecisionError
+from heckepoly.errors import BasisDeficientError, EmptySpaceError, PrecisionError
 from heckepoly.exactlinalg import ExactMatrix, charpoly, rank, solve_right
 from heckepoly.exactnum import bernoulli_number, sigma
 from heckepoly.heckeop import dim_cusp, hecke_matrix
@@ -237,6 +237,50 @@ def test_oracle_matrix_examples():
     for k in (7, 2, -4):
         with pytest.raises(ValueError, match="k must be an even integer >= 4, got %d" % k):
             hecke_matrix_oracle(k, 2)
+
+
+def direct_oracle(k, m):
+    """T_m straight from q-expansions at index m: the basis at default_precision(k, m), one solve."""
+    prec = default_precision(k, m)
+    basis = cusp_basis_gamma02(k, prec)
+    rows = range(1, prec // m + 1)
+    images = [hecke_on_qseries(f, m).coeffs for f in basis]
+    return solve_right(coefficient_matrix([f.coeffs for f in basis], rows), coefficient_matrix(images, rows))
+
+
+def test_oracle_composite_index_matches_the_direct_solve():
+    # T_m from T_p by the Hecke relations equals T_m read off its own q-expansion images
+    for k in range(8, 42, 2):
+        for m in (4, 6, 8, 9, 10, 12, 18, 25, 27):
+            assert hecke_matrix_oracle(k, m) == direct_oracle(k, m), (k, m)
+
+
+def test_oracle_reaches_large_index():
+    # four distinct primes, an odd prime power and U_2^8
+    for k in (20, 40):
+        for m in (210, 243, 256):
+            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m)), (k, m)
+
+
+def test_oracle_precision_rule_reads_the_largest_prime():
+    # k = 12: d = 2; m = 12 has largest prime 3, so prec // 3 >= 2 is enough
+    assert hecke_matrix_oracle(12, 12, prec=6) == direct_oracle(12, 12)
+    with pytest.raises(PrecisionError, match=r"only 1 usable coefficient rows for 2 unknowns; need prec >= 6$"):
+        hecke_matrix_oracle(12, 12, prec=5)
+    assert hecke_matrix_oracle(12, 1, prec=2) == ExactMatrix.identity(2)
+    with pytest.raises(PrecisionError, match=r"need prec >= 2$"):
+        hecke_matrix_oracle(12, 1, prec=1)
+
+
+def test_oracle_image_outside_the_span_is_basis_deficient(monkeypatch):
+    # a T_3 image that vanishes on rows 1 .. d but not on row d + 1 is in no span of the triangular basis
+    def stray(f, p):
+        return QSeries(f.weight, [0, 0, 0, 1], prec=f.prec // p) if p == 3 else hecke_on_qseries(f, p)
+
+    monkeypatch.setattr(qoracle, "hecke_on_qseries", stray)
+    assert hecke_matrix_oracle(12, 4) == direct_oracle(12, 4)
+    with pytest.raises(BasisDeficientError, match="T_3 image leaves the span of the oracle basis at weight 12"):
+        hecke_matrix_oracle(12, 6)
 
 
 def test_oracle_matrix_rejects_nonpositive_m():
