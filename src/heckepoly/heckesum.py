@@ -21,6 +21,15 @@ cut the big-integer work of the sum over the divisor pairs of s and t:
 4. Divide first, double once: each binomial term of P_k carries s^(nt-i) t^i with k - n <= i <= k,
    so s^(nt-k) u^(k-n) (positive exponents only) divides P_k before the sums multiply it, and each
    finished polynomial is doubled once.
+
+One more identity spares whole indices, not big-integer work:
+
+5. The Fricke mirror when gcd(m, N) = 1: conjugation by W_N sends (a, b, c, d) to (d, -c/N, -Nb, a),
+   which maps H_{N,m} and its abcd < 0 part onto themselves, keeping sgn(ab) and s = ad; the
+   diagonal pairs (a, m/a) are symmetric because every divisor of m is prime to N.  So coefficient
+   w - k of the index-(w - n) image is (-1)^(n+k) N^(n-k) times coefficient k of the index-n one.
+   The bases (m = 1) obey it at every m; the images do not when gcd(m, N) > 1 (level 4, w = 10,
+   m = 2 is a counterexample).
 """
 
 from itertools import accumulate, repeat
@@ -28,7 +37,7 @@ from math import gcd
 from operator import mul
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, sigma
+from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
 from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period_sum
 from .polyring import BoundedPolynomial
 
@@ -132,11 +141,13 @@ def _diagonal_pairs(level, m):
     return [(a, m // a) for a in divisors(m) if gcd(a, level) == 1]
 
 
-def _moebius_terms(ctx, m):
-    # X^w B^0_{n+1}(me/(cNX)), e | N, c | m/N, weighs mu(N/e) c^nt N^nt (N/e)^n; period_sum supplies N^nt
-    n, nt, level = ctx.n, ctx.ntilde, ctx.level
-    weights = [(moebius(level // e) * (level // e) ** n, e) for e in divisors(level)]
-    return [(weight * c**nt, m * e // (c * level)) for weight, e in weights for c in divisors(m // level)]
+def _moebius_sums(ctx, m):
+    # X^w B^0_{n+1}(ec'/(NX)), e | N, cc' = m/N, weighs mu(N/e) (N/e)^n c^nt N^nt (period_sum supplies N^nt),
+    # so the power sums over the pairs (e, c) factor into one over e times one over c
+    n, nt, level, cofactor = ctx.n, ctx.ntilde, ctx.level, m // ctx.level
+    e_sums = power_sums([(moebius(level // e) * (level // e) ** n, e) for e in divisors(level)], n + 1)
+    c_sums = power_sums([(c**nt, cofactor // c) for c in divisors(cofactor)], n + 1)
+    return list(map(mul, e_sums, c_sums))
 
 
 def diagonal_sum(ctx, m):
@@ -160,30 +171,54 @@ def moebius_correction(ctx, m):
     """The signed extra term of the corrected odd period polynomial, level | m: r_minus_hecke - s_poly_m."""
     if m % ctx.level:
         raise ValueError("correction only applies when level | m")
-    return period_sum(ctx, bernoulli_rows(ctx), [], _moebius_terms(ctx, m))
+    return period_sum(ctx, bernoulli_rows(ctx), [], _moebius_sums(ctx, m))
+
+
+def fricke_mirror(poly, level, n):
+    """The index-(w - n) polynomial read off the index-n one by W_N (identity 5 of the module docstring).
+
+    Coefficient w - k of the result is (-1)^(n+k) N^(n-k) times coefficient k of poly (N the level): over
+    one denominator, num'[j] = (-1)^(n+j) N^j num[w-j] over den N^(w-n).  Applied twice it is the identity.
+    """
+    w = poly.bound
+    scales = accumulate(repeat(-level, w), mul, initial=(-1) ** n)  # (-1)^(n+j) N^j
+    return BoundedPolynomial._over(list(map(mul, reversed(poly.num), scales)), poly.den * level ** (w - n))
 
 
 def hecke_images(level, w, ns, m):
     """(bases, images) at the even indices ns: s_poly, and s_poly_m plus the Moebius correction when level | m.
 
     One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts, and
-    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.
+    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  An
+    index n whose mirror ntilde = w - n is in ns with ntilde > n is read off index ntilde by ``fricke_mirror``
+    (identity 5): its base at every m, its image when gcd(m, level) = 1; the sign sum skips the mirrored images.
+    The larger index of a pair is the one summed: its pencil (1+X)^ntilde (s - tX)^n has the smaller power of
+    s - tX, so smaller integers.
     """
-    ctxs = [PeriodContext(level, w, n) for n in ns]
-    for ctx in ctxs:
+    ctxs = {n: PeriodContext(level, w, n) for n in ns}
+    for ctx in ctxs.values():
         if ctx.n % 2:
             raise UnsupportedParityError("the odd period polynomial needs even n, got n=%d" % ctx.n)
         _require_interior(ctx)
     if m < 1:
         raise ValueError("m must be positive")
-    signed, pairs = sign_restricted_sum(level, w, ns, m), _diagonal_pairs(level, m)
-    row_of = {k: bernoulli_poly0(k) for k in {k for ctx in ctxs for k in (ctx.ntilde + 1, ctx.n + 1)}}
-    bases, images = [], []
-    for ctx, part in zip(ctxs, signed):
+    mirror_of = {n: w - n for n in ctxs if w - n > n and w - n in ctxs}
+    coprime = gcd(m, level) == 1
+    direct = [n for n in ctxs if not (coprime and n in mirror_of)]
+    pairs = _diagonal_pairs(level, m)
+    row_of = {k: bernoulli_poly0(k) for k in {k for ctx in ctxs.values() for k in (ctx.ntilde + 1, ctx.n + 1)}}
+    bases, images = {}, {}
+    for n, part in zip(direct, sign_restricted_sum(level, w, direct, m)):
+        ctx = ctxs[n]
         rows = row_of[ctx.ntilde + 1], row_of[ctx.n + 1]
-        bases.append(period_sum(ctx, rows, [(1, 1)]))
-        images.append(part + period_sum(ctx, rows, pairs, _moebius_terms(ctx, m) if m % level == 0 else ()))
-    return bases, images
+        if n not in mirror_of:
+            bases[n] = period_sum(ctx, rows, [(1, 1)])
+        images[n] = part + period_sum(ctx, rows, pairs, _moebius_sums(ctx, m) if m % level == 0 else ())
+    for n, nt in mirror_of.items():
+        bases[n] = fricke_mirror(bases[nt], level, nt)
+        if coprime:
+            images[n] = fricke_mirror(images[nt], level, nt)
+    return [bases[n] for n in ns], [images[n] for n in ns]
 
 
 def r_minus_hecke(ctx, m):

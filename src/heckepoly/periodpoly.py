@@ -70,18 +70,19 @@ def bernoulli_rows(ctx):
     return bernoulli_poly0(ctx.ntilde + 1), bernoulli_poly0(ctx.n + 1)
 
 
-def period_sum(ctx, rows, pairs, terms=()):
+def period_sum(ctx, rows, pairs, term_sums=()):
     """Sum of the Bernoulli terms over pairs and terms, in one integer pass over the rows (r1, D1), (r2, D2) of ctx.
 
     A pair (a, d) adds a^n N^nt/(nt+1) X^w B^0_(nt+1)(d/(NX)) - d^nt/(n+1) B^0_(n+1)(aX), a term (c, x) adds
-    -c N^nt/(n+1) X^w B^0_(n+1)(x/(NX)) (N the level): X^(w-e) gets r1[e] N^(nt-e) (sum of a^n d^e) / ((nt+1) D1)
-    - r2[e] N^(nt-e) (sum of c x^e) / ((n+1) D2), X^e gets -r2[e] (sum of d^nt a^e) / ((n+1) D2), all over one
-    denominator N^s lcm((nt+1) D1, (n+1) D2), s >= 1 the least shift making every N^(nt-e+s) an integer.
+    -c N^nt/(n+1) X^w B^0_(n+1)(x/(NX)) (N the level), and the terms come summed: term_sums[e] = sum of c x^e,
+    e = 0..n+1.  X^(w-e) gets r1[e] N^(nt-e) (sum of a^n d^e) / ((nt+1) D1) - r2[e] N^(nt-e) term_sums[e] / ((n+1) D2),
+    X^e gets -r2[e] (sum of d^nt a^e) / ((n+1) D2), all over one denominator N^s lcm((nt+1) D1, (n+1) D2), s >= 1
+    the least shift making every N^(nt-e+s) an integer.
     """
     _require_interior(ctx)
     n, nt, w, level = ctx.n, ctx.ntilde, ctx.w, ctx.level
     (r1, d1), (r2, d2) = ((p.num, p.den) for p in rows)
-    shift = max(1, n + 1 - nt) if terms else 1
+    shift = max(1, n + 1 - nt) if term_sums else 1
     common = lcm((nt + 1) * d1, (n + 1) * d2)
     u, v = common // ((nt + 1) * d1), common // ((n + 1) * d2)
     num = [0] * (w + 1)
@@ -91,10 +92,9 @@ def period_sum(ctx, rows, pairs, terms=()):
     d_sums = power_sums([(d**nt, a) for a, d in pairs], n + 1)
     for e in range(n + 1, -1, -2):
         num[e] -= v * r2[e] * d_sums[e] * level**shift
-    if terms:
-        c_sums = power_sums(terms, n + 1)
+    if term_sums:
         for e in range(n + 1, -1, -2):
-            num[w - e] -= v * r2[e] * c_sums[e] * level ** (nt + shift - e)
+            num[w - e] -= v * r2[e] * term_sums[e] * level ** (nt + shift - e)
     return BoundedPolynomial._over(num, common * level**shift)
 
 

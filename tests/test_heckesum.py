@@ -11,6 +11,7 @@ from heckepoly.heckesum import (
     diagonal_sum,
     eigenvalue_w6,
     enumerate_H_neg,
+    fricke_mirror,
     hecke_images,
     moebius_correction,
     r_minus_hecke,
@@ -215,6 +216,38 @@ def test_hecke_images_builds_each_bernoulli_order_once(monkeypatch):
     bases, _ = hecke_images(4, 50, ns, 2)
     assert sorted(orders) == list(range(3, 50, 2))
     assert bases == [s_poly(PeriodContext(4, 50, n)) for n in ns]
+
+
+def test_hecke_images_mirror_matches_single_index_calls():
+    # with every even interior n in one call, one index of each pair n, w - n is read off the other by W_N
+    # (bases always, images when gcd(m, level) = 1); a call with one index computes its polynomials directly
+    for level in range(2, 10):
+        for w in (4, 6, 12, 26):  # 4 and 12 have a self-mirrored index, w / 2
+            ns = list(range(2, w, 2))
+            for m in list(range(1, 16)) + [25, 49, 77, 97, 120, 121]:
+                bases, images = hecke_images(level, w, ns, m)
+                for n, base, image in zip(ns, bases, images):
+                    assert ([base], [image]) == hecke_images(level, w, [n], m), (level, w, n, m)
+
+
+def test_fricke_mirror_is_an_involution():
+    for level in (2, 3, 4, 7):
+        for w in (2, 6, 12):
+            for n in range(w + 1):
+                poly = BoundedPolynomial([Fraction((-1) ** k * (k * k + n + 1), k + level) for k in range(w + 1)])
+                mirrored = fricke_mirror(poly, level, n)
+                assert mirrored != poly
+                assert fricke_mirror(mirrored, level, w - n) == poly, (level, w, n)
+
+
+def test_fricke_mirror_needs_m_prime_to_the_level():
+    # the bases mirror at every m, the images only when gcd(m, level) = 1: at level 4, m = 2 they do not
+    level, w = 4, 10
+    (base2, base8), (image2, image8) = hecke_images(level, w, [2, 8], 2)
+    assert fricke_mirror(base2, level, 2) == base8
+    assert fricke_mirror(image2, level, 2) != image8
+    _, (image2, image8) = hecke_images(level, w, [2, 8], 3)
+    assert fricke_mirror(image2, level, 2) == image8
 
 
 def test_diagonal_sum_at_index_one_is_s_poly():
