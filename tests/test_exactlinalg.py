@@ -459,19 +459,95 @@ def test_charpoly_matches_one_sided_berkowitz_on_random_families():
                     assert charpoly(form) == _berkowitz_one_sided(form) == expected, n
 
 
+# charpoly cuts a singular matrix to its image and runs Berkowitz on the
+# better-scaled of M and diag(dens)^-1 num; both references see M as it is.
+
+
+def test_charpoly_of_singular_matrices_cuts_to_the_image():
+    rng = random.Random(909)
+    for n in range(1, 8):
+        zero = ExactMatrix([[0] * n for _ in range(n)])
+        assert charpoly(zero) == [Fraction(0)] * n + [Fraction(1)]
+        # nilpotent Jordan blocks of sizes summing to n: x^n, rank n - (number of blocks)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        starts = {sum(sizes[:i]) for i in range(len(sizes))}
+        jordan = [[int(j == i + 1 and j not in starts) for j in range(n)] for i in range(n)]
+        assert rank(ExactMatrix(jordan)) == n - len(sizes)
+        for rows in (jordan, _random_rows(rng, n, n)):
+            for r in range(n + 1):
+                # P diag(A, 0) P^-1 with A the leading r x r block of rows: rank <= r, charpoly x^(n-r) charpoly(A)
+                block = [[rows[i][j] if i < r and j < r else 0 for j in range(n)] for i in range(n)]
+                p = ExactMatrix(_random_rows(rng, n, n))
+                while not determinant(p):
+                    p = ExactMatrix(_random_rows(rng, n, n))
+                mat = p * ExactMatrix(block) * mat_inverse(p)
+                expected = [Fraction(0)] * (n - r) + _faddeev_leverrier([row[:r] for row in rows[:r]])
+                assert charpoly(mat) == _berkowitz_one_sided(mat) == expected, (n, r)
+                assert charpoly(mat) == _faddeev_leverrier(mat.entries)
+
+
+def test_charpoly_probe_falls_back_to_the_exact_rank():
+    # nonsingular, but every determinant is a multiple of the probe prime 65521
+    cases = [
+        ([[65521]], [-65521, 1]),
+        ([[65521, 0, 0], [0, 2, 0], [0, 0, 3]], [-393126, 327611, -65526, 1]),
+        ([[Fraction(65521, 2), 1], [0, Fraction(1, 3)]], [Fraction(65521, 6), Fraction(-196565, 6), 1]),
+    ]
+    for rows, expected in cases:
+        mat = ExactMatrix(rows)
+        assert exactlinalg._maybe_singular(mat.num) and rank(mat) == mat.rows
+        assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(rows) == expected
+    # the probe passes an invertible matrix whose determinant is not a multiple of it
+    assert not exactlinalg._maybe_singular([[65522]])
+    assert not exactlinalg._maybe_singular([[2, 1], [1, 1]])
+    assert exactlinalg._maybe_singular([[2, 4], [1, 2]])
+
+
+def test_charpoly_berkowitz_runs_on_the_better_scaled_form():
+    # row form D^-1 num: row i is num row i over dens[i]; it is integral here, the column form is over 6
+    row_wins = ExactMatrix([[1, Fraction(3, 2), Fraction(5, 3)], [2, 2, 2], [3, Fraction(9, 2), 1]])
+    assert row_wins.num == [[1, 3, 5], [2, 4, 6], [3, 9, 3]] and row_wins.dens == [1, 2, 3]
+    assert exactlinalg._scaled_rows(row_wins) == ([[1, 3, 5], [1, 2, 3], [1, 3, 1]], 1)
+    # column form kept: both forms have scale 6 here, and an integral matrix stays as it is
+    col_wins = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]])
+    assert exactlinalg._scaled_rows(col_wins) == col_wins._common() == ([[3, 2], [2, 3]], 6)
+    integral = ExactMatrix([[2, -1], [5, 7]])
+    assert exactlinalg._scaled_rows(integral) == ([[2, -1], [5, 7]], 1)
+    for mat in (row_wins, col_wins, integral):
+        assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(mat.entries)
+    # entry (i, j) is often a multiple of dens[i] over dens[j], so the row form often wins
+    rng = random.Random(707)
+    chosen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        dens = [rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(n)]
+        rows = [[Fraction(rng.randint(-5, 5) * rng.choice([1, d, d]), e) for e in dens] for d in dens]
+        mat = ExactMatrix(rows)
+        scaled, scale = exactlinalg._scaled_rows(mat)
+        chosen[scale < mat._common()[1]] += 1
+        # L M' is similar to L M: same charpoly, over the scale it reports
+        assert charpoly(ExactMatrix(scaled)) == [c * scale ** (n - k) for k, c in enumerate(charpoly(mat))]
+        assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(rows)
+    assert chosen[True] > 10 and chosen[False] > 10
+
+
 def test_charpoly_matches_one_sided_berkowitz_on_pipeline_matrices():
     served = 0
-    for level in (2, 3, 4, 5):
-        for w in (10, 24, 40):
-            for m in (2, 3, 12, 25):
-                try:
-                    t = hecke_matrix(level, w, m)
-                except BasisDeficientError:
-                    assert level == 5 and w % 4 == 2  # refused by design
-                    continue
-                assert charpoly(t) == _berkowitz_one_sided(t), (level, w, m)
-                served += 1
-    assert served == 44
+    cases = [(level, w, m) for level in (2, 3, 4, 5) for w in (10, 24, 40) for m in (2, 3, 12, 25)]
+    cases += [(4, w, m) for w in (10, 24, 40) for m in (4, 8)]  # singular at level 4: U_2 kills the newforms
+    for level, w, m in cases:
+        try:
+            t = hecke_matrix(level, w, m)
+        except BasisDeficientError:
+            assert level == 5 and w % 4 == 2  # refused by design
+            continue
+        assert charpoly(t) == _berkowitz_one_sided(t), (level, w, m)
+        if level == 4 and m % 2 == 0:
+            assert rank(t) < t.rows, (level, w, m)
+        served += 1
+    assert served == 50
 
 
 def test_charpoly_hashes_at_dimension_29_and_39():
