@@ -10,8 +10,8 @@ inverses; ``solve_right`` eliminates only as many rows as it has unknowns
 and checks the surplus rows of a tall system by one exact product.
 Characteristic polynomials use the division-free Berkowitz recursion, on
 the image of a singular matrix (exact: det(xI - M) = x^(n-r) det(xI - R))
-and on the better-scaled of M = num diag(dens)^-1 and the similar
-diag(dens)^-1 num.  Results are exact rationals.
+and on the similar diag(dens)^-1 num, whose scale divides that of
+M = num diag(dens)^-1.  Results are exact rationals.
 """
 
 from fractions import Fraction
@@ -274,13 +274,14 @@ def charpoly(mat):
     Two exact steps come first.  A singular M is cut to its image: with V its
     pivot columns (rank r) and M V = V R, det(xI - M) = x^(n-r) det(xI - R),
     as im M is M-invariant and M is 0 on the quotient.  The exact rank runs
-    only when Bareiss mod 65521 does not prove M invertible, so the prime
-    never decides the answer; this pays at level 4, where an even-m T_m has
-    rank about d/2.  Then Berkowitz's division-free recursion (Berkowitz
-    1984) runs on L M', with M' the one of M = num D^-1 and the similar
-    D^-1 num (D = diag(dens)) of smaller scale L, and c_k(M') = c_k(L M') /
-    L^(n-k).  The row form D^-1 num is far better scaled at levels 2 and 3,
-    has about half the bits at level 4 and usually the same at level 5.  Each
+    unless exact Bareiss on the numerators reduced mod 65521 ends in a pivot
+    nonzero mod 65521, which proves M invertible, so the prime never decides
+    the answer; this pays at level 4, where an even-m T_m has rank about
+    d/2.  Then Berkowitz's division-free recursion (Berkowitz 1984) runs on
+    L M', M' = D^-1 num the similar row form of M = num D^-1 (D =
+    diag(dens)), L its scale, and c_k(M') = c_k(L M') / L^(n-k).  L divides
+    M's lcm(dens): it is far smaller at levels 2 and 3, has about half the
+    bits at level 4 and usually equals it at level 5.  Each
     Toeplitz entry R A^k C of block r, [[a, R], [C, A]] with A of size s and
     k < s, is (R A^(k//2)) (A^((k+1)//2) C), the baby-step split of Kaltofen
     (ISSAC 1992): a chained vector gains about one entry's bits per product,
@@ -321,22 +322,19 @@ def charpoly(mat):
 
 
 def _maybe_singular(num):
-    """False only if the square int matrix num is provably invertible: det(num) is nonzero mod 65521."""
+    """False only if num is provably invertible: exact Bareiss on its residues mod 65521 ends in a pivot != 0 mod 65521."""
     work = [[x % 65521 for x in row] for row in num]
     pivots, _ = _bareiss(work, len(work))
     return len(pivots) < len(work) or not work[-1][-1] % 65521
 
 
 def _scaled_rows(mat):
-    """(L M', L): integer rows and scale of the one of M and D^-1 num = D^-1 M D with the smaller scale L."""
-    rows, scale = mat._common()
-    if scale == 1:
-        return rows, scale
-    # row i of D^-1 num is num row i over dens[i], in lowest terms over dens[i] / gcd(dens[i], row i)
-    row_scale = lcm(*(d // gcd(d, *row) for d, row in zip(mat.dens, mat.num)))
-    if row_scale < scale:
-        return [[x * row_scale // d for x in row] for d, row in zip(mat.dens, mat.num)], row_scale
-    return rows, scale
+    """(L D^-1 num, L): the similar matrix D^-1 num = D^-1 M D (D = diag(dens)) as integer rows over its scale L."""
+    if all(d == 1 for d in mat.dens):
+        return mat.num, 1
+    # row i is num row i over dens[i], in lowest terms over dens[i] / gcd(dens[i], row i): L divides M's lcm(dens)
+    scale = lcm(*(d // gcd(d, *row) for d, row in zip(mat.dens, mat.num)))
+    return [[x * scale // d for x in row] for d, row in zip(mat.dens, mat.num)], scale
 
 
 def _odd_product(lo, hi, base, expo):

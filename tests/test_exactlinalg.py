@@ -460,7 +460,7 @@ def test_charpoly_matches_one_sided_berkowitz_on_random_families():
 
 
 # charpoly cuts a singular matrix to its image and runs Berkowitz on the
-# better-scaled of M and diag(dens)^-1 num; both references see M as it is.
+# similar diag(dens)^-1 num; both references see M as it is.
 
 
 def test_charpoly_of_singular_matrices_cuts_to_the_image():
@@ -510,27 +510,30 @@ def test_charpoly_berkowitz_runs_on_the_better_scaled_form():
     row_wins = ExactMatrix([[1, Fraction(3, 2), Fraction(5, 3)], [2, 2, 2], [3, Fraction(9, 2), 1]])
     assert row_wins.num == [[1, 3, 5], [2, 4, 6], [3, 9, 3]] and row_wins.dens == [1, 2, 3]
     assert exactlinalg._scaled_rows(row_wins) == ([[1, 3, 5], [1, 2, 3], [1, 3, 1]], 1)
-    # column form kept: both forms have scale 6 here, and an integral matrix stays as it is
-    col_wins = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]])
-    assert exactlinalg._scaled_rows(col_wins) == col_wins._common() == ([[3, 2], [2, 3]], 6)
+    # both forms over 6 here: the row form [[1/2, 1/2], [2/3, 1/3]] is still the one used
+    tie = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(1, 3)]])
+    assert tie._common() == ([[3, 2], [6, 2]], 6)
+    assert exactlinalg._scaled_rows(tie) == ([[3, 3], [4, 2]], 6)
+    # an integral matrix stays as it is
     integral = ExactMatrix([[2, -1], [5, 7]])
     assert exactlinalg._scaled_rows(integral) == ([[2, -1], [5, 7]], 1)
-    for mat in (row_wins, col_wins, integral):
+    for mat in (row_wins, tie, integral):
         assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(mat.entries)
-    # entry (i, j) is often a multiple of dens[i] over dens[j], so the row form often wins
+    # entry (i, j) is often a multiple of dens[i] over dens[j], so the row form is often better scaled
     rng = random.Random(707)
-    chosen = {True: 0, False: 0}
+    smaller = {True: 0, False: 0}
     for _ in range(60):
         n = rng.randint(1, 6)
         dens = [rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(n)]
         rows = [[Fraction(rng.randint(-5, 5) * rng.choice([1, d, d]), e) for e in dens] for d in dens]
         mat = ExactMatrix(rows)
         scaled, scale = exactlinalg._scaled_rows(mat)
-        chosen[scale < mat._common()[1]] += 1
+        assert mat._common()[1] % scale == 0
+        smaller[scale < mat._common()[1]] += 1
         # L M' is similar to L M: same charpoly, over the scale it reports
         assert charpoly(ExactMatrix(scaled)) == [c * scale ** (n - k) for k, c in enumerate(charpoly(mat))]
         assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(rows)
-    assert chosen[True] > 10 and chosen[False] > 10
+    assert smaller[True] > 10 and smaller[False] > 10
 
 
 def test_charpoly_matches_one_sided_berkowitz_on_pipeline_matrices():
