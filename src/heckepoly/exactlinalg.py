@@ -273,7 +273,8 @@ def charpoly(mat):
 
     Two exact steps come first.  A singular M is cut to its image: with V its
     pivot columns (rank r) and M V = V R, det(xI - M) = x^(n-r) det(xI - R),
-    as im M is M-invariant and M is 0 on the quotient.  The exact rank runs
+    as im M is M-invariant and M is 0 on the quotient; at r = 0, V is n x 0
+    and R is 0 x 0, whose charpoly is 1.  The exact rank runs
     unless exact Bareiss on the numerators reduced mod 65521 ends in a pivot
     nonzero mod 65521, which proves M invertible, so the prime never decides
     the answer; this pays at level 4, where an even-m T_m has rank about
@@ -296,8 +297,6 @@ def charpoly(mat):
         if len(pivots) == mat.rows:
             break
         zeros += [Fraction(0)] * (mat.rows - len(pivots))
-        if not pivots:
-            return zeros + [Fraction(1)]
         image = ExactMatrix._over([[row[j] for j in pivots] for row in mat.num], [mat.dens[j] for j in pivots])
         mat = solve_right(image, mat * image)
     n = mat.rows

@@ -28,11 +28,11 @@ One more identity spares whole indices, not big-integer work:
    which maps H_{N,m} and its abcd < 0 part onto themselves, keeping sgn(ab) and s = ad; the
    diagonal pairs (a, m/a) are symmetric because every divisor of m is prime to N.  So coefficient
    w - k of the index-(w - n) image is (-1)^(n+k) N^(n-k) times coefficient k of the index-n one.
-   The bases (m = 1) obey it at every m; the images do not when gcd(m, N) > 1 (level 4, w = 10,
-   m = 2 is a counterexample).
+   When gcd(m, N) > 1 the images do not obey it (level 4, w = 10, m = 2 is a counterexample), so
+   there both the base and the image of every index are computed directly.
 """
 
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import gcd
 from operator import mul
 
@@ -74,14 +74,13 @@ def _pencil(n, nt, s, t):
     From (1+X)(s-tX)P' = (n(s-tX) - nt*t(1+X))P:
     s(k+1)P_{k+1} = (ns - nt*t - (s-t)k)P_k + t(k-1-w)P_{k-1}, w = n + nt,
     where every division is exact because P has integer coefficients.  The three
-    multipliers are progressions in k, read from ranges (repeat for step 0).
+    multipliers are progressions in k: two counts, whose step may be 0, and the
+    range of divisors s(k+1), whose w terms bound the loop.
     """
-    w, u0 = n + nt, n * s - nt * t
-    us = range(u0, u0 + (t - s) * w, t - s) if s != t else repeat(u0, w)
-    vs = range(-t * (w + 1), -t, t) if t else repeat(0, w)
+    w = n + nt
     coeffs = [s**nt]
     prev, cur = 0, coeffs[0]
-    for u, v, q in zip(us, vs, range(s, s * (w + 1), s)):
+    for u, v, q in zip(count(n * s - nt * t, t - s), count(-t * (w + 1), t), range(s, s * (w + 1), s)):
         prev, cur = cur, (u * cur + v * prev) // q
         coeffs.append(cur)
     return coeffs
@@ -189,11 +188,11 @@ def hecke_images(level, w, ns, m):
     """(bases, images) at the even indices ns: s_poly, and s_poly_m plus the Moebius correction when level | m.
 
     One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts, and
-    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  An
-    index n whose mirror ntilde = w - n is in ns with ntilde > n is read off index ntilde by ``fricke_mirror``
-    (identity 5): its base at every m, its image when gcd(m, level) = 1; the sign sum skips the mirrored images.
-    The larger index of a pair is the one summed: its pencil (1+X)^ntilde (s - tX)^n has the smaller power of
-    s - tX, so smaller integers.
+    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  When
+    gcd(m, level) = 1, an index n whose mirror ntilde = w - n is in ns with ntilde > n is read off index ntilde by
+    ``fricke_mirror`` (identity 5), base and image together, and the sign sum skips it; otherwise every index is
+    computed directly.  The larger index of a pair is the one summed: its pencil (1+X)^ntilde (s - tX)^n has the
+    smaller power of s - tX, so smaller integers.
     """
     ctxs = {n: PeriodContext(level, w, n) for n in ns}
     for ctx in ctxs.values():
@@ -202,22 +201,19 @@ def hecke_images(level, w, ns, m):
         _require_interior(ctx)
     if m < 1:
         raise ValueError("m must be positive")
-    mirror_of = {n: w - n for n in ctxs if w - n > n and w - n in ctxs}
-    coprime = gcd(m, level) == 1
-    direct = [n for n in ctxs if not (coprime and n in mirror_of)]
+    mirror_of = {n: w - n for n in ctxs if w - n > n and w - n in ctxs} if gcd(m, level) == 1 else {}
+    direct = [n for n in ctxs if n not in mirror_of]
     pairs = _diagonal_pairs(level, m)
     row_of = {k: bernoulli_poly0(k) for k in {k for ctx in ctxs.values() for k in (ctx.ntilde + 1, ctx.n + 1)}}
     bases, images = {}, {}
     for n, part in zip(direct, sign_restricted_sum(level, w, direct, m)):
         ctx = ctxs[n]
         rows = row_of[ctx.ntilde + 1], row_of[ctx.n + 1]
-        if n not in mirror_of:
-            bases[n] = period_sum(ctx, rows, [(1, 1)])
+        bases[n] = period_sum(ctx, rows, [(1, 1)])
         images[n] = part + period_sum(ctx, rows, pairs, _moebius_sums(ctx, m) if m % level == 0 else ())
     for n, nt in mirror_of.items():
         bases[n] = fricke_mirror(bases[nt], level, nt)
-        if coprime:
-            images[n] = fricke_mirror(images[nt], level, nt)
+        images[n] = fricke_mirror(images[nt], level, nt)
     return [bases[n] for n in ns], [images[n] for n in ns]
 
 

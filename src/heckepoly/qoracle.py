@@ -240,8 +240,11 @@ def cusp_basis_gamma02(k, prec):
 
 
 def default_precision(k, m=1):
-    """Coefficient budget: the weight-k Sturm bound k/4 plus margin, scaled for T_m."""
-    return max(k // 2 + 10, m * (k // 4 + 2))
+    """Precision max(k/2 + 10, P (k/4 + 2)), P the largest prime of m (1 at m = 1): T_p reads rows 1 .. prec // p."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    factors = factorize(m)
+    return max(k // 2 + 10, (factors[-1][0] if factors else 1) * (k // 4 + 2))
 
 
 def _coefficient_matrix(series, nrows):
@@ -271,7 +274,7 @@ def hecke_matrix_oracle(k, m, prec=None):
     factors = factorize(m)
     top = factors[-1][0] if factors else 1
     if prec is None:
-        prec = default_precision(k, top)
+        prec = default_precision(k, m)
     nrows = prec // top
     if nrows < d:
         raise PrecisionError("only %d usable coefficient rows for %d unknowns; need prec >= %d" % (nrows, d, top * d))

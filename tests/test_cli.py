@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from heckepoly.cli import LIMITS, main
+from heckepoly.exactlinalg import charpoly
+from heckepoly.qoracle import hecke_matrix_oracle
+from heckepoly.serialize import coeffs_json
 from heckepoly.verify import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -152,8 +155,10 @@ def test_hecke_sum_m_cap(capsys):
 
 def test_q_series_precision_cap(capsys):
     cap = LIMITS["prec"]
-    # the default precision m (k/4 + 2) of weight 12 is 5 m: one index past cap / 5 takes it over the cap
-    default_over = 5 * (cap // 5 + 1)
+    # the default precision P (k/4 + 2) of weight 12 is 5 P, P the largest prime of m: the prime 401, one past
+    # cap / 5, takes it over the cap
+    assert cap // 5 + 1 == 401
+    default_over = 5 * 401
     for argv, message in (
         (("qexp", "--form", "E:4", "--prec", str(cap + 1)), _over_cap("prec", cap + 1)),
         (("qexp", "--form", "eta:1^8,2^8", "--prec", "-1"), "prec must be nonnegative, got -1"),
@@ -450,6 +455,16 @@ def test_oracle_index_cap_and_largest_prime_precision(capsys):
     argv = ("oracle-matrix", "--weight", "12", "--m", str(10**40), "--prec", "40")
     _assert_precondition(capsys, argv, _over_cap("oracle-matrix m", 10**40))
     assert _help_shows_cap(capsys, "oracle-matrix", "oracle-matrix m")
+
+
+def test_oracle_matrix_default_precision_reads_the_largest_prime(capsys):
+    # P (k/4 + 2), not m (k/4 + 2): weight 40, m = 256 takes 2 * 12 (under k/2 + 10 = 30), not 3072 over the cap
+    for weight, m, prec in ((40, 256, 30), (12, 12, 16)):
+        status, out, _ = run_cli(capsys, "oracle-matrix", "--weight", str(weight), "--m", str(m))
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["prec"] == prec
+        assert payload["charpoly"] == coeffs_json(charpoly(hecke_matrix_oracle(weight, m))), (weight, m)
 
 
 def test_hecke_sum_work_cap(capsys):

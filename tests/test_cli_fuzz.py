@@ -76,8 +76,9 @@ SUBCOMMANDS = {
     "qexp": {"--form": FORMS, "--prec": (("0", "5", "20", "200"), (_over("prec"), *NOT_INTS))},
     "oracle-matrix": {
         "--weight": (("8", "12", "16"), ("7", str(W_OVER_DIM + 2), *NOT_INTS)),
-        # m over cap / 4 takes the default precision m (k/4 + 2) over the cap at every weight k >= 8
-        "--m": (("1", "2", "3", "5"), (str(LIMITS["prec"] // 4 + 1), *NOT_INTS)),
+        # the prime 503 > cap / 4 takes the default precision P (k/4 + 2), P the largest prime of m, over the cap
+        # at every weight k >= 8; a composite such as 501 = 3 * 167 is served at k = 8
+        "--m": (("1", "2", "3", "5"), ("503", *NOT_INTS)),
         "--prec": (("5", "40", ABSENT), (_over("prec"), *NOT_INTS)),
     },
     "verify": {

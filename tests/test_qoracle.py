@@ -240,8 +240,12 @@ def test_oracle_matrix_examples():
 
 
 def direct_oracle(k, m):
-    """T_m straight from q-expansions at index m: the basis at default_precision(k, m), one solve."""
-    prec = default_precision(k, m)
+    """T_m straight from q-expansions at index m: the basis at m (k/4 + 2) coefficients, one solve.
+
+    The solve reads rows 1 .. prec // m, so it needs its own precision, scaled by m: default_precision
+    scales by m's largest prime only, which leaves fewer than d rows at a composite m.
+    """
+    prec = max(k // 2 + 10, m * (k // 4 + 2))
     basis = cusp_basis_gamma02(k, prec)
     rows = range(1, prec // m + 1)
     images = [hecke_on_qseries(f, m).coeffs for f in basis]
@@ -293,6 +297,13 @@ def test_default_precision_policy():
     assert default_precision(12) == 16
     assert default_precision(12, 5) == max(16, 5 * 5)
     assert default_precision(24, 2) == max(22, 2 * 8)
+    # a composite m scales by its largest prime: 3 at m = 12, 2 at m = 256
+    assert default_precision(12, 12) == max(16, 3 * 5) == 16
+    assert default_precision(40, 256) == max(30, 2 * 12) == 30
+    assert default_precision(24, 2 * 3 * 7) == max(22, 7 * 8) == 56
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be positive"):
+            default_precision(12, m)
 
 
 def test_theorem14_small_weights():
