@@ -15,14 +15,18 @@ class UnsupportedParityError(HeckePolyError, ValueError):
     code = "UnsupportedParity"
 
 
-class SingularMatrixError(HeckePolyError):
-    """Exact elimination hit a rank deficiency; carries the rank found."""
-
-    code = "SingularMatrix"
+class _RankError(HeckePolyError):
+    """An error that carries the rank found, or None."""
 
     def __init__(self, message, rank=None):
         super().__init__(message)
         self.rank = rank
+
+
+class SingularMatrixError(_RankError):
+    """Exact elimination hit a rank deficiency; carries the rank found."""
+
+    code = "SingularMatrix"
 
 
 class BasisDeficientError(HeckePolyError):
@@ -55,11 +59,7 @@ class InconsistentSystemError(HeckePolyError):
     code = "InconsistentSystem"
 
 
-class UnderdeterminedSystemError(HeckePolyError):
+class UnderdeterminedSystemError(_RankError):
     """An exact linear system has no *unique* solution; carries the rank found."""
 
     code = "UnderdeterminedSystem"
-
-    def __init__(self, message, rank=None):
-        super().__init__(message)
-        self.rank = rank

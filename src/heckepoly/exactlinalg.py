@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals, computed in integers.
 
 A matrix stores each column as integer numerators over that column's least
-positive denominator, the representation ``BoundedPolynomial`` and
-``QSeries`` use for one vector, so the polynomial and q-series columns the
-pipeline solves for enter the kernels without a ``Fraction`` round trip.
+positive denominator, as the one base of ``BoundedPolynomial`` and ``QSeries``
+stores a vector, so the polynomial and q-series columns the pipeline solves
+for enter the kernels without a ``Fraction`` round trip.
 One fraction-free Bareiss elimination kernel on the numerators serves
 determinants, rank, ``solve_right`` and, through ``solve_right(M, I)``,
 inverses; ``solve_right`` eliminates only as many rows as it has unknowns

@@ -1,10 +1,11 @@
 """Bounded-degree polynomial arithmetic over exact rationals.
 
 Coefficients are stored ascending by power of X as integer numerators over
-their least common denominator, as in ``qoracle.QSeries``: ``num[k] / den``
-is the coefficient of X^k.  The ``bound`` is an ambient degree cap (the weight
-parameter w in most uses), so a polynomial may carry trailing zero
-coefficients up to that cap.
+their least common denominator: ``num[k] / den`` is the coefficient of X^k.
+``BoundedPolynomial`` and ``qoracle.QSeries`` share this representation and
+its arithmetic through one base, ``_IntVector``.  The ``bound`` is an ambient
+degree cap (the weight parameter w in most uses), so a polynomial may carry
+trailing zero coefficients up to that cap.
 """
 
 from fractions import Fraction
@@ -56,10 +57,55 @@ def convolve(a, b, length):
     return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * length, w)]
 
 
-class BoundedPolynomial:
+class _IntVector:
+    """Exact rational vector: entry k is num[k] / den, over the least positive common denominator.
+
+    The arithmetic that ``BoundedPolynomial`` and ``qoracle.QSeries`` share.  A
+    subclass says how to tag a result (``_like``), how two operands pair their
+    entries (``_pair``) and what the vector product is (``_product``).
+    """
+
+    __slots__ = ("num", "den")
+
+    def _store(self, coeffs, length):
+        """Set num and den from the rationals coeffs[:length], zero-padded to length."""
+        self.num, self.den = clear_denominators(coeffs[:length] + [0] * (length - len(coeffs)))
+
+    @property
+    def coeffs(self):
+        return [Fraction(x, self.den) for x in self.num]
+
+    def __neg__(self):
+        return self._like([-x for x in self.num], self.den)
+
+    def _combine(self, other, sign):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, sign * (den // other.den)
+        return self._like([u * x + v * y for x, y in self._pair(other)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, (int, Fraction)):
+            c = _as_fraction(other)
+            return self._like([c.numerator * x for x in self.num], self.den * c.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+class BoundedPolynomial(_IntVector):
     """Polynomial in X of degree <= bound: coefficient k is num[k] / den, over the least common denominator."""
 
-    __slots__ = ("num", "den", "bound")
+    __slots__ = ("bound",)
 
     def __init__(self, coeffs, bound=None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -67,11 +113,9 @@ class BoundedPolynomial:
             bound = max(len(coeffs) - 1, 0)
         if bound < 0:
             raise ValueError("bound must be nonnegative")
-        if len(coeffs) > bound + 1:
-            if any(coeffs[bound + 1 :]):
-                raise ValueError("coefficients exceed the degree bound %d" % bound)
-            coeffs = coeffs[: bound + 1]
-        self.num, self.den = clear_denominators(coeffs + [0] * (bound + 1 - len(coeffs)))
+        if any(coeffs[bound + 1 :]):
+            raise ValueError("coefficients exceed the degree bound %d" % bound)
+        self._store(coeffs, bound + 1)
         self.bound = bound
 
     @classmethod
@@ -82,13 +126,11 @@ class BoundedPolynomial:
         poly.bound = len(num) - 1
         return poly
 
+    _like = _over
+
     @classmethod
     def zero(cls, bound):
         return cls([], bound=bound)
-
-    @property
-    def coeffs(self):
-        return [Fraction(x, self.den) for x in self.num]
 
     def degree(self):
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
@@ -105,39 +147,17 @@ class BoundedPolynomial:
     def is_zero(self):
         return not any(self.num)
 
-    def __neg__(self):
-        return BoundedPolynomial._over([-x for x in self.num], self.den)
+    def _pair(self, other):
+        return zip_longest(self.num, other.num, fillvalue=0)
 
-    def __add__(self, other):
-        if not isinstance(other, BoundedPolynomial):
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        u, v = den // self.den, den // other.den
-        return BoundedPolynomial._over(
-            [u * x + v * y for x, y in zip_longest(self.num, other.num, fillvalue=0)], den
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, BoundedPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BoundedPolynomial):
-            length = self.bound + other.bound + 1
-            return BoundedPolynomial._over(convolve(self.num, other.num, length), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BoundedPolynomial._over([c.numerator * x for x in self.num], self.den * c.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other):
+        return self._like(convolve(self.num, other.num, self.bound + other.bound + 1), self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, BoundedPolynomial):
             return NotImplemented
         # lowest terms make (num, den) unique up to trailing zeros
-        return self.den == other.den and all(x == y for x, y in zip_longest(self.num, other.num, fillvalue=0))
+        return self.den == other.den and all(x == y for x, y in self._pair(other))
 
     def __repr__(self):
         return "BoundedPolynomial(%r, bound=%d)" % ([str(c) for c in self.coeffs], self.bound)

@@ -9,17 +9,16 @@ q-expansions at each prime p | m, T_m from the Hecke relations.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
 from .exactnum import bernoulli_number, factorize, sigma
-from .polyring import _as_fraction, _lowest_terms, clear_denominators, convolve
+from .polyring import _as_fraction, _IntVector, _lowest_terms, convolve
 
 
-class QSeries:
+class QSeries(_IntVector):
     """Truncated power series in q: a_n = num[n] / den for n = 0 .. prec, all exact.
 
     ``num`` are ints over the least positive common denominator ``den``, so an
@@ -27,7 +26,7 @@ class QSeries:
     weight of the form; arithmetic never claims coefficients the operands lack.
     """
 
-    __slots__ = ("weight", "prec", "num", "den")
+    __slots__ = ("weight", "prec")
 
     def __init__(self, weight, coeffs, prec=None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -36,7 +35,7 @@ class QSeries:
         if prec < 0:
             raise ValueError("prec must be nonnegative")
         self.weight, self.prec = weight, prec
-        self.num, self.den = clear_denominators(coeffs[: prec + 1] + [0] * (prec + 1 - len(coeffs)))
+        self._store(coeffs, prec + 1)
 
     @classmethod
     def _over(cls, weight, num, den):
@@ -46,9 +45,8 @@ class QSeries:
         series.num, series.den = _lowest_terms(num, den)
         return series
 
-    @property
-    def coeffs(self):
-        return [Fraction(x, self.den) for x in self.num]
+    def _like(self, num, den):
+        return self._over(self.weight, num, den)
 
     def coeff(self, n):
         if n < 0:
@@ -66,36 +64,15 @@ class QSeries:
     def is_cuspidal(self):
         return self.num[0] == 0
 
-    def __neg__(self):
-        return QSeries._over(self.weight, [-x for x in self.num], self.den)
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
+    def _pair(self, other):
         if self.weight != other.weight:
             raise ValueError("weight mismatch: %s vs %s" % (self.weight, other.weight))
-        den = lcm(self.den, other.den)
-        u, v = den // self.den, den // other.den
         # zip stops at the shorter series, i.e. at the smaller precision
-        return QSeries._over(self.weight, [u * x + v * y for x, y in zip(self.num, other.num)], den)
+        return zip(self.num, other.num)
 
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            length = min(self.prec, other.prec) + 1
-            return QSeries._over(
-                self.weight + other.weight, convolve(self.num, other.num, length), self.den * other.den
-            )
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return QSeries._over(self.weight, [c.numerator * x for x in self.num], self.den * c.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other):
+        length = min(self.prec, other.prec) + 1
+        return self._over(self.weight + other.weight, convolve(self.num, other.num, length), self.den * other.den)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.prefix(min(self.prec, 5)))

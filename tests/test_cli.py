@@ -643,3 +643,29 @@ def test_hecke_sum_and_level5_period_poly_hashes(capsys, command, mode):
         status, out, err = run_cli(capsys, command, *args, *(() if mode == "default" else (mode,)))
         digest.update(("%d\n%s\n%s\n" % (status, out, err)).encode())
     assert digest.hexdigest() == _RUN_HASHES[command, mode]
+
+
+# SHA-256 of status, stdout and stderr over the oracle's CLI, recorded before QSeries and BoundedPolynomial
+# shared one integer-vector base: level-1 Eisenstein series and those at both cusps of Gamma0(2) (their
+# refusal of k = 2 included), eta quotients of weights 0 to 12, and oracle matrices at every even weight
+# up to 42 for m = -1 .. 12 and four prime powers (the refusals of m < 1 and of empty spaces included)
+_QEXP_GRID = [
+    ("--form", "%s:%d" % (kind, k), "--prec", "30") for kind in ("E", "Einf", "E0") for k in range(2, 41, 2)
+] + [
+    ("--form", "eta:" + parts, "--prec", "40")
+    for parts in ("1^8,2^8", "1^24", "2^24", "2^12", "1^16,2^-8", "1^-8,2^16", "1^-24,2^24")
+]
+_ORACLE_GRID = [
+    ("--weight", str(k), "--m", str(m)) for k in range(4, 43, 2) for m in (*range(-1, 13), 16, 27, 49, 64)
+]
+_ORACLE_HASH = "000ee85f531789ef240ef806f4f737983c445ee141a48e46fcc6e998b3a4d876"
+
+
+def test_oracle_cli_grid_hash(capsys):
+    digest = hashlib.sha256()
+    for command, grid in (("qexp", _QEXP_GRID), ("oracle-matrix", _ORACLE_GRID)):
+        for args in grid:
+            status, out, err = run_cli(capsys, command, *args)
+            digest.update(("%d\n%s\n%s\n" % (status, out, err)).encode())
+    assert len(_QEXP_GRID) + len(_ORACLE_GRID) == 427
+    assert digest.hexdigest() == _ORACLE_HASH

@@ -33,6 +33,17 @@ def test_constructor_bound_rules():
         BoundedPolynomial([1], bound=-1)
 
 
+def test_constructor_takes_any_iterable_of_ints_and_fractions():
+    values = (1, Fraction(-1, 2), 0, 3)
+    for given in (list(values), values, (c for c in values)):
+        p = BoundedPolynomial(given)
+        assert (p.num, p.den, p.bound) == ([2, -1, 0, 6], 2, 3)
+    # a one-shot iterator is read once, for the bound check and the coefficients alike
+    assert BoundedPolynomial(iter([1, 2, 0]), bound=1).coeffs == [1, 2]
+    with pytest.raises(ValueError):
+        BoundedPolynomial((c for c in (1, 0, 3)), bound=1)
+
+
 def test_arithmetic_and_equality():
     p = BoundedPolynomial([1, 2, 3])
     q = BoundedPolynomial([0, 1], bound=5)
@@ -121,7 +132,7 @@ def test_inner_product_printed_polynomial():
 
 def _fraction_model_check(p, coeffs, bound):
     # the integer representation against a plain Fraction coefficient list
-    assert p.bound == bound
+    assert type(p) is BoundedPolynomial and p.bound == bound
     assert p.coeffs == coeffs + [Fraction(0)] * (bound + 1 - len(coeffs))
     assert p.den > 0
     assert gcd(p.den, *p.num) == 1

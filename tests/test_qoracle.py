@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from heckepoly.errors import BasisDeficientError, EmptySpaceError, PrecisionErro
 from heckepoly.exactlinalg import ExactMatrix, charpoly, rank, solve_right
 from heckepoly.exactnum import bernoulli_number, sigma
 from heckepoly.heckeop import dim_cusp, hecke_matrix
+from heckepoly.polyring import BoundedPolynomial
 from heckepoly.qoracle import (
     QSeries,
     cusp_basis_gamma02,
@@ -40,6 +42,30 @@ def test_qseries_arithmetic():
         f + QSeries(4, [1])
     with pytest.raises(PrecisionError):
         f.coeff(5)
+
+
+def test_qseries_constructor_takes_any_iterable_of_ints_and_fractions():
+    values = (1, Fraction(-1, 2), 0, 3)
+    for given in (list(values), values, (c for c in values)):
+        f = QSeries(6, given)
+        assert (f.weight, f.prec, f.num, f.den) == (6, 3, [2, -1, 0, 6], 2)
+    assert QSeries(6, (c for c in values), prec=1).coeffs == [1, Fraction(-1, 2)]
+
+
+def test_qseries_arithmetic_keeps_the_class_and_the_weight():
+    f = QSeries(10, [1, Fraction(2, 3), 5])
+    g = QSeries(10, [Fraction(1, 5), 7], prec=1)
+    for r, prec in ((-f, 2), (f - g, 1), (g - f, 1), (f * 3, 2), (Fraction(3, 7) * f, 2), (4 * g, 1)):
+        assert type(r) is QSeries and (r.weight, r.prec) == (10, prec)
+
+
+def test_qseries_and_polynomials_do_not_mix():
+    f, p = QSeries(2, [1, 2, 3]), BoundedPolynomial([1, 2, 3])
+    for a, b in ((f, p), (p, f)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert not a == b and a != b
 
 
 def test_eta_quotient_delta():
