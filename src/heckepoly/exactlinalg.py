@@ -336,19 +336,12 @@ def _scaled_rows(mat):
     return [[x * scale // d for x in row] for d, row in zip(mat.dens, mat.num)], scale
 
 
-def _odd_product(lo, hi, base, expo):
-    value = Fraction(1)
-    for i in range(lo, hi + 1):
-        value /= Fraction(base(i)) ** expo(i)
-    return value
-
-
 _HANKEL_CLOSED = {
-    1: lambda n: Fraction(1, 4 ** (n * n)) * _odd_product(1, 2 * n - 1, lambda i: 2 * i + 1, lambda i: 2 * n - i),
-    2: lambda n: Fraction((-1) ** n, 4 ** (n * n + n) * 9**n)
-    * _odd_product(1, 2 * n - 1, lambda i: 2 * i + 3, lambda i: 2 * n - i),
-    3: lambda n: Fraction((n + 1) * (2 * n + 3), 4 ** (n * n + 2 * n))
-    * _odd_product(1, 2 * n + 1, lambda i: 2 * i + 1, lambda i: 2 * n + 2 - i),
+    1: lambda n: Fraction(1, 4 ** (n * n) * prod((2 * i + 1) ** (2 * n - i) for i in range(2 * n))),
+    2: lambda n: Fraction((-1) ** n, 4 ** (n * n + n) * prod((2 * i + 3) ** (2 * n - i) for i in range(2 * n))),
+    3: lambda n: Fraction(
+        (n + 1) * (2 * n + 3), 4 ** (n * n + 2 * n) * prod((2 * i + 1) ** (2 * n + 2 - i) for i in range(2 * n + 2))
+    ),
 }
 
 

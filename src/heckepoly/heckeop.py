@@ -61,8 +61,6 @@ def basis_matrix(w, which):
         raise ValueError("which must be one of %s" % (tuple(_BASIS_VARIANTS),))
     build, index, power = _BASIS_VARIANTS[which]
     d = dim_cusp(2, w)
-    if d == 0:
-        return ExactMatrix([], cols=0)
     polys = [build(PeriodContext(2, w, index(w, i))) for i in range(1, d + 1)]
     return ExactMatrix([[poly.coeff(power(w, j)) for j in range(1, d + 1)] for poly in polys])
 

@@ -28,8 +28,8 @@ One more identity spares whole indices, not big-integer work:
    which maps H_{N,m} and its abcd < 0 part onto themselves, keeping sgn(ab) and s = ad; the
    diagonal pairs (a, m/a) are symmetric because every divisor of m is prime to N.  So coefficient
    w - k of the index-(w - n) image is (-1)^(n+k) N^(n-k) times coefficient k of the index-n one.
-   When gcd(m, N) > 1 the images do not obey it (level 4, w = 10, m = 2 is a counterexample), so
-   there both the base and the image of every index are computed directly.
+   When gcd(m, N) > 1 the images do not obey it (level 4, w = 10, m = 2 is a counterexample), so there
+   every image is computed directly.  The mirror serves images only; a base is always the m = 1 sum.
 """
 
 from itertools import accumulate, count, repeat
@@ -188,11 +188,11 @@ def hecke_images(level, w, ns, m):
     """(bases, images) at the even indices ns: s_poly, and s_poly_m plus the Moebius correction when level | m.
 
     One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts, and
-    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  When
-    gcd(m, level) = 1, an index n whose mirror ntilde = w - n is in ns with ntilde > n is read off index ntilde by
-    ``fricke_mirror`` (identity 5), base and image together, and the sign sum skips it; otherwise every index is
-    computed directly.  The larger index of a pair is the one summed: its pencil (1+X)^ntilde (s - tX)^n has the
-    smaller power of s - tX, so smaller integers.
+    each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  Every
+    base is the m = 1 period sum on its index's rows.  When gcd(m, level) = 1, the image of an index n whose mirror
+    ntilde = w - n is in ns with ntilde > n is read off the image of index ntilde by ``fricke_mirror`` (identity 5),
+    and the sign sum skips it; otherwise every image is computed directly.  The larger index of a pair is the one
+    summed: its pencil (1+X)^ntilde (s - tX)^n has the smaller power of s - tX, so smaller integers.
     """
     ctxs = {n: PeriodContext(level, w, n) for n in ns}
     for ctx in ctxs.values():
@@ -205,16 +205,13 @@ def hecke_images(level, w, ns, m):
     direct = [n for n in ctxs if n not in mirror_of]
     pairs = _diagonal_pairs(level, m)
     row_of = {k: bernoulli_poly0(k) for k in {k for ctx in ctxs.values() for k in (ctx.ntilde + 1, ctx.n + 1)}}
-    bases, images = {}, {}
+    rows = {n: (row_of[ctx.ntilde + 1], row_of[ctx.n + 1]) for n, ctx in ctxs.items()}
+    images = {}
     for n, part in zip(direct, sign_restricted_sum(level, w, direct, m)):
-        ctx = ctxs[n]
-        rows = row_of[ctx.ntilde + 1], row_of[ctx.n + 1]
-        bases[n] = period_sum(ctx, rows, [(1, 1)])
-        images[n] = part + period_sum(ctx, rows, pairs, _moebius_sums(ctx, m) if m % level == 0 else ())
+        images[n] = part + period_sum(ctxs[n], rows[n], pairs, _moebius_sums(ctxs[n], m) if m % level == 0 else ())
     for n, nt in mirror_of.items():
-        bases[n] = fricke_mirror(bases[nt], level, nt)
         images[n] = fricke_mirror(images[nt], level, nt)
-    return [bases[n] for n in ns], [images[n] for n in ns]
+    return [period_sum(ctxs[n], rows[n], [(1, 1)]) for n in ns], [images[n] for n in ns]
 
 
 def r_minus_hecke(ctx, m):

@@ -15,7 +15,7 @@ stored rational normalizer is c_rat = (-1)^n * C(w, n).
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
@@ -53,11 +53,9 @@ class PeriodContext(NamedTuple("PeriodContext", [("level", int), ("w", int), ("n
 
 
 def euler_ratio(level, s, t):
-    """prod over primes p | level of (1 - p^-s) / (1 - p^-t)."""
-    value = Fraction(1)
-    for p in prime_divisors(level):
-        value *= (1 - Fraction(1, p**s)) / (1 - Fraction(1, p**t))
-    return value
+    """prod over primes p | level of (1 - p^-s) / (1 - p^-t) = (p^s - 1) p^t / ((p^t - 1) p^s), as one quotient."""
+    primes = prime_divisors(level)
+    return Fraction(prod((p**s - 1) * p**t for p in primes), prod((p**t - 1) * p**s for p in primes))
 
 
 def _require_interior(ctx):

@@ -1,12 +1,14 @@
 """Named verification suites behind the CLI ``verify`` subcommand.
 
 Each suite is a list of independent named checks; a check passes silently or
-fails with a detail string.  Results come back in submission order.
+fails with a detail string.  Results come back in submission order.  Each kind
+of check is one module-level function, and every suite but ``paper-examples``
+is a grid of one such function over its cases (``_grid``).
 """
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -183,50 +185,52 @@ def suite_paper_examples():
     ]
 
 
+def _grid(title, check, cases):
+    """One Check per case, in order: named title % case, running check(*case)."""
+    return [Check(title % case, partial(check, *case)) for case in cases]
+
+
+def _check_hankel(which, n):
+    det, closed = hankel_bernoulli(which, n)
+    assert det == closed, "det %s != closed form %s" % (det, closed)
+
+
 def suite_hankel():
-    def make(which, n):
-        def run():
-            det, closed = hankel_bernoulli(which, n)
-            assert det == closed, "det %s != closed form %s" % (det, closed)
+    return _grid("hankel which=%d n=%d", _check_hankel, [(which, n) for which in (1, 2, 3) for n in range(1, 9)])
 
-        return Check("hankel which=%d n=%d" % (which, n), run)
 
-    return [make(which, n) for which in (1, 2, 3) for n in range(1, 9)]
+def _check_basis(w, which):
+    assert determinant(basis_matrix(w, which)) != 0
 
 
 def suite_bases(max_weight=60):
-    def make(w, which):
-        def run():
-            assert determinant(basis_matrix(w, which)) != 0
+    variants = ("even_low", "even_high", "odd_low", "odd_high")
+    cases = [(w, which) for w in range(6, max_weight + 1, 2) for which in variants]
+    return _grid("basis w=%d %s nonsingular", _check_basis, cases)
 
-        return Check("basis w=%d %s nonsingular" % (w, which), run)
 
-    return [
-        make(w, which)
-        for w in range(6, max_weight + 1, 2)
-        for which in ("even_low", "even_high", "odd_low", "odd_high")
-    ]
+def _check_theorem14(k):
+    rep = theorem14_check(k)
+    assert rep.ok, "rank %d/%d at weight %d" % (min(rep.rank_first, rep.rank_second), rep.dim, k)
 
 
 def suite_theorem14(max_weight=40):
-    def make(k):
-        def run():
-            rep = theorem14_check(k)
-            assert rep.ok, "rank %d/%d at weight %d" % (min(rep.rank_first, rep.rank_second), rep.dim, k)
+    return _grid("eisenstein-product bases weight %d", _check_theorem14, [(k,) for k in range(8, max_weight + 1, 2)])
 
-        return Check("eisenstein-product bases weight %d" % k, run)
 
-    return [make(k) for k in range(8, max_weight + 1, 2)]
+def _check_oracle(k, m):
+    assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m))
 
 
 def suite_oracle(max_weight=40):
-    def make(k, m):
-        def run():
-            assert charpoly(hecke_matrix_oracle(k, m)) == charpoly(hecke_matrix(2, k - 2, m))
+    cases = [(k, m) for k in range(8, max_weight + 1, 2) for m in (2, 3, 4, 5)]
+    return _grid("oracle charpoly k=%d m=%d", _check_oracle, cases)
 
-        return Check("oracle charpoly k=%d m=%d" % (k, m), run)
 
-    return [make(k, m) for k in range(8, max_weight + 1, 2) for m in (2, 3, 4, 5)]
+def _check_period_symmetry(level, w, n, m):
+    lhs = period_value(PeriodContext(level, w, n), m)
+    rhs = Fraction(-level) ** (w - n - m) * period_value(PeriodContext(level, w, w - n), w - m)
+    assert lhs == rhs, "%s != %s" % (lhs, rhs)
 
 
 def suite_symmetry():
@@ -243,61 +247,46 @@ def suite_symmetry():
         elif m % 2 == 0 or not 0 < m < w:
             continue
         cases.append((level, w, n, m))
+    return _grid("period symmetry N=%d w=%d n=%d m=%d", _check_period_symmetry, cases)
 
-    def make(level, w, n, m):
-        def run():
-            lhs = period_value(PeriodContext(level, w, n), m)
-            rhs = Fraction(-level) ** (w - n - m) * period_value(PeriodContext(level, w, w - n), w - m)
-            assert lhs == rhs, "%s != %s" % (lhs, rhs)
 
-        return Check("period symmetry N=%d w=%d n=%d m=%d" % (level, w, n, m), run)
-
-    return [make(*case) for case in cases]
+def _check_assembly(level, w, n, sign):
+    ctx = PeriodContext(level, w, n)
+    direct = s_poly(ctx) if sign == "minus" else r_plus_odd(ctx)
+    assert assemble_from_periods(ctx, sign) == direct
 
 
 def suite_assembly(max_weight=30):
-    def make(level, w, n, sign):
-        def run():
-            ctx = PeriodContext(level, w, n)
-            direct = s_poly(ctx) if sign == "minus" else r_plus_odd(ctx)
-            assert assemble_from_periods(ctx, sign) == direct
+    cases = [
+        (level, w, n, sign)
+        for level in (2, 3, 4, 5)
+        for w in range(4, max_weight + 1, 2)
+        for sign, first in (("minus", 2), ("plus", 1))
+        for n in range(first, w, 2)
+    ]
+    return _grid("assembly N=%d w=%d n=%d %s", _check_assembly, cases)
 
-        return Check("assembly N=%d w=%d n=%d %s" % (level, w, n, sign), run)
 
-    checks = []
-    for level in (2, 3, 4, 5):
-        for w in range(4, max_weight + 1, 2):
-            for n in range(2, w - 1, 2):
-                checks.append(make(level, w, n, "minus"))
-            for n in range(1, w, 2):
-                checks.append(make(level, w, n, "plus"))
-    return checks
+def _check_commuting_pair(tmat, m1, m2, w):
+    t1, t2 = tmat(w, m1), tmat(w, m2)
+    assert t1 * t2 == t2 * t1, "commutator nonzero"
+    assert t1 * t2 == tmat(w, m1 * m2), "multiplicativity fails"
+
+
+def _check_prime_square(tmat, p, w):
+    d = dim_cusp(2, w)
+    lhs = tmat(w, p * p)
+    rhs = tmat(w, p) * tmat(w, p) - ExactMatrix.identity(d) * (p ** (w + 1))
+    assert lhs == rhs
 
 
 def suite_hecke_relations(max_weight=22):
     tmat = cache(lambda w, m: hecke_matrix(2, w, m))  # each T once per suite run
     pairs = [(a, b) for a in range(2, 11) for b in range(a + 1, 11) if gcd(a, b) == 1]
-
-    def make_pair(w, m1, m2):
-        def run():
-            t1, t2 = tmat(w, m1), tmat(w, m2)
-            assert t1 * t2 == t2 * t1, "commutator nonzero"
-            assert t1 * t2 == tmat(w, m1 * m2), "multiplicativity fails"
-
-        return Check("T_%d,T_%d relations w=%d" % (m1, m2, w), run)
-
-    def make_prime_square(w, p):
-        def run():
-            d = dim_cusp(2, w)
-            lhs = tmat(w, p * p)
-            rhs = tmat(w, p) * tmat(w, p) - ExactMatrix.identity(d) * (p ** (w + 1))
-            assert lhs == rhs
-
-        return Check("T_%d^2 relation w=%d" % (p, w), run)
-
-    checks = [make_pair(w, m1, m2) for w in range(6, max_weight + 1, 2) for m1, m2 in pairs]
-    checks += [make_prime_square(w, p) for w in range(6, min(max_weight, 18) + 1, 2) for p in (3, 5)]
-    return checks
+    pair_cases = [(m1, m2, w) for w in range(6, max_weight + 1, 2) for m1, m2 in pairs]
+    square_cases = [(p, w) for w in range(6, min(max_weight, 18) + 1, 2) for p in (3, 5)]
+    checks = _grid("T_%d,T_%d relations w=%d", partial(_check_commuting_pair, tmat), pair_cases)
+    return checks + _grid("T_%d^2 relation w=%d", partial(_check_prime_square, tmat), square_cases)
 
 
 # name -> (builder, ceiling of its --max-weight bound, or None for a suite that takes no bound);

@@ -19,6 +19,8 @@ for the coefficient dot product, similar to T_3 but not its matrix.  Given T
 and the nonsingular S1, (b) fixes every published entry.
 """
 
+import hashlib
+
 from heckepoly.verify import SUITES, run_suite
 
 BACKED_SUITES = set()  # every verify suite some criterion runs
@@ -94,3 +96,31 @@ test_criterion_12_t2_delta_relations = criterion(
 
 def test_every_verify_suite_backs_a_criterion():
     assert BACKED_SUITES == set(SUITES)
+
+
+# SHA-256 of each suite's check names, newline-joined in order, at its default bound and at its SUITES ceiling
+CHECK_NAME_HASHES = {
+    ("paper-examples", None): "74f4cab41f64ea86c335b41fb89932c2c58c904fb9f49bf92bff79e001172703",
+    ("hankel", None): "0d7fa05e8c924de995c76a6dfc54eae3f72db0a7b174975f6498a2537b524c3b",
+    ("bases", None): "ae32310f380824e8312cd527bc50b8a4ad26463c2c8007c43a63d27641dc949f",
+    ("bases", 132): "c9297cf2c3c7f638dcbc4d87a02ec8ccd3832cf8c0e033f23390ee3a0015d175",
+    ("theorem14", None): "57e6bd6c66349076a05773a0b83d5beb8a6af065db42503735f7425bad0c9de7",
+    ("theorem14", 92): "b01804c490d8998ee0ae445478dfc1121797357c6c55460fbc79609e81286b07",
+    ("oracle", None): "ce3bb20cf8a36eb3953fb02e20dcd3d91a4d75b1abd1a07ecac7f54fdffe7b86",
+    ("oracle", 90): "c8218d080dd62c018b355128d22135c990158e8bc695f70e6e824967ea7b5eb5",
+    ("symmetry", None): "04f7544db42ee61e838ac5eb607013676a9040a6a40dd07d66736a52b68e0349",
+    ("assembly", None): "0ef8ff59779cf6e18976ca4eb5be20cd27595669f3f605846179b7dcb85c7f50",
+    ("assembly", 100): "3334d369f806ba5da0cf41fb22c170503961b0674eb5ba296a8b7e45008d3053",
+    ("hecke-relations", None): "0160e22f0ff561bca3d2240009d08506a6ee995f74d8400040628fc32c979570",
+    ("hecke-relations", 58): "b6bdfb6d42d849726d8a7cf49e174f146f4f227a2d3179d07ca59fd65db101ff",
+}
+
+
+def test_every_suite_builds_its_pinned_check_names():
+    # the check lists are built, not run: a renamed, reordered, dropped or added check changes a hash
+    got = {}
+    for name, (builder, ceiling) in SUITES.items():
+        for bound in (None, ceiling) if ceiling is not None else (None,):
+            checks = builder() if bound is None else builder(bound)
+            got[name, bound] = hashlib.sha256("\n".join(check.name for check in checks).encode()).hexdigest()
+    assert got == CHECK_NAME_HASHES

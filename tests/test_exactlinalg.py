@@ -162,6 +162,29 @@ def test_hankel_matches_direct_determinant():
             assert det == closed
 
 
+def _odd_product(lo, hi, base, expo):
+    value = Fraction(1)
+    for i in range(lo, hi + 1):
+        value /= Fraction(base(i)) ** expo(i)
+    return value
+
+
+_HANKEL_BY_FACTORS = {
+    1: lambda n: Fraction(1, 4 ** (n * n)) * _odd_product(1, 2 * n - 1, lambda i: 2 * i + 1, lambda i: 2 * n - i),
+    2: lambda n: Fraction((-1) ** n, 4 ** (n * n + n) * 9**n)
+    * _odd_product(1, 2 * n - 1, lambda i: 2 * i + 3, lambda i: 2 * n - i),
+    3: lambda n: Fraction((n + 1) * (2 * n + 3), 4 ** (n * n + 2 * n))
+    * _odd_product(1, 2 * n + 1, lambda i: 2 * i + 1, lambda i: 2 * n + 2 - i),
+}
+
+
+def test_hankel_closed_forms_match_their_factor_products():
+    # up to the CLI cap n = 50, where the determinants themselves take seconds each
+    for which, closed in exactlinalg._HANKEL_CLOSED.items():
+        for n in range(1, 51):
+            assert closed(n) == _HANKEL_BY_FACTORS[which](n), (which, n)
+
+
 def test_hankel_input_guards():
     with pytest.raises(ValueError):
         hankel_bernoulli(4, 1)

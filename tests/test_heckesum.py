@@ -203,6 +203,16 @@ def test_hecke_images_pairs_each_base_with_its_image():
                 assert image == want, (level, n, m)
 
 
+def test_hecke_images_bases_are_s_poly():
+    # mirrored (gcd(m, level) = 1) and direct indices alike
+    for level in (2, 3, 4, 5):
+        for w in range(4, 31, 2):
+            ns = list(range(2, w, 2))
+            for m in (1, 2, 3, 4, 5, 6, 25):
+                bases, _ = hecke_images(level, w, ns, m)
+                assert bases == [s_poly(PeriodContext(level, w, n)) for n in ns], (level, w, m)
+
+
 def test_hecke_images_builds_each_bernoulli_order_once(monkeypatch):
     # at level 4 every ntilde is also an index, so the 24 indices share 24 orders instead of building 48 rows
     orders = []
@@ -219,8 +229,8 @@ def test_hecke_images_builds_each_bernoulli_order_once(monkeypatch):
 
 
 def test_hecke_images_mirror_matches_single_index_calls():
-    # with every even interior n in one call, one index of each pair n, w - n is read off the other by W_N
-    # (bases always, images when gcd(m, level) = 1); a call with one index computes its polynomials directly
+    # with every even interior n in one call and gcd(m, level) = 1, one image of each pair n, w - n is read off
+    # the other by W_N; a call with one index computes its polynomials directly
     for level in range(2, 10):
         for w in (4, 6, 12, 26):  # 4 and 12 have a self-mirrored index, w / 2
             ns = list(range(2, w, 2))

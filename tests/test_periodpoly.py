@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckepoly.errors import UnsupportedParityError
-from heckepoly.exactnum import bernoulli_number
+from heckepoly.exactnum import bernoulli_number, prime_divisors
 from heckepoly.periodpoly import (
     PeriodContext,
     assemble_from_periods,
@@ -38,6 +38,21 @@ def test_euler_ratio():
     assert euler_ratio(2, 4, 8) == (1 - Fraction(1, 16)) / (1 - Fraction(1, 256))
     assert euler_ratio(6, 3, 5) == euler_ratio(2, 3, 5) * euler_ratio(3, 3, 5)
     assert euler_ratio(4, 3, 5) == euler_ratio(2, 3, 5)
+
+
+def _euler_ratio_by_factors(level, s, t):
+    value = Fraction(1)
+    for p in prime_divisors(level):
+        value *= (1 - Fraction(1, p**s)) / (1 - Fraction(1, p**t))
+    return value
+
+
+def test_euler_ratio_matches_the_product_of_its_factors():
+    # both sides of the assembly suite read euler_ratio, so it is checked here against one factor per prime
+    for level in range(2, 31):
+        for s in range(1, 13):
+            for t in range(1, 13):
+                assert euler_ratio(level, s, t) == _euler_ratio_by_factors(level, s, t), (level, s, t)
 
 
 def test_s_poly_printed_values():
