@@ -15,7 +15,7 @@ from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
 from .exactlinalg import hankel_bernoulli
 from .exactnum import bernoulli_number
-from .heckeop import dim_cusp, hecke_charpoly, hecke_computation, hecke_matrix
+from .heckeop import _solve_charpoly, dim_cusp, hecke_charpoly, hecke_computation
 from .heckesum import enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
 from .qoracle import (
@@ -48,9 +48,9 @@ LIMITS = {
     "m (w + 1)": 30_000,
     # q-series cost grows like prec^2: at 2000, qexp eta:1^-24,2^48 takes 0.2-0.4 s (oracle-matrix: "d prec^2")
     "prec": 2000,
-    # solve plus charpoly grow steeply in the dimension d: 6.0-6.4 s at level 5, w = 80 (d = 39), m = 12
+    # solve plus charpoly grow steeply in d: 4.7-5.3 s at level 5, w = 80 (d = 39), m = 5; split by W_N at m = 12, 0.5 s
     "cusp space dimension": 40,
-    # covers the benchmark grid (m <= 240); at the dimension cap, the top index takes 5.3 to 12.7 s
+    # covers the benchmark grid (m <= 240); at the dimension cap, the top index takes 0.8 to 9.8 s
     "index m": 256,
     # qexp eta: takes prec^2 steps on coefficients that widen with sum |r|: eta:1^-299,299^1 takes 0.4-0.7 s at prec 2000
     "eta sum |r|": 300,
@@ -166,17 +166,17 @@ def _cmd_hecke_matrix(args):
                 "S1": matrix_json(comp.s1),
                 "S2": matrix_json(comp.s2),
                 "T": matrix_json(comp.t),
-                "charpoly": coeffs_json(_charpoly(comp.t)),
+                "charpoly": coeffs_json(comp.charpoly),
             }
         )
         return
-    t = hecke_matrix(args.level, args.w, args.m)
+    _, _, t, cp = _solve_charpoly(args.level, args.w, args.m)  # T and its charpoly as in the JSON, with no S1, S2
     if args.format == "latex":
         print(matrix_latex(t))
-        print(charpoly_latex(_charpoly(t)))
+        print(charpoly_latex(cp))
     else:
         print(matrix_text(t))
-        print("charpoly (ascending):", " ".join(fraction_str(c) for c in _charpoly(t)))
+        print("charpoly (ascending):", " ".join(fraction_str(c) for c in cp))
 
 
 def _cmd_charpoly(args):

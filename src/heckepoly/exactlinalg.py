@@ -271,34 +271,39 @@ def solve_right(a, b):
 def charpoly(mat):
     """Characteristic polynomial det(xI - M), monic, coefficients ascending.
 
-    Two exact steps come first.  A singular M is cut to its image: with V its
-    pivot columns (rank r) and M V = V R, det(xI - M) = x^(n-r) det(xI - R),
-    as im M is M-invariant and M is 0 on the quotient; at r = 0, V is n x 0
-    and R is 0 x 0, whose charpoly is 1.  The exact rank runs
-    unless exact Bareiss on the numerators reduced mod 65521 ends in a pivot
-    nonzero mod 65521, which proves M invertible, so the prime never decides
-    the answer; this pays at level 4, where an even-m T_m has rank about
-    d/2.  Then Berkowitz's division-free recursion (Berkowitz 1984) runs on
-    L M', M' = D^-1 num the similar row form of M = num D^-1 (D =
-    diag(dens)), L its scale, and c_k(M') = c_k(L M') / L^(n-k).  L divides
-    M's lcm(dens): it is far smaller at levels 2 and 3, has about half the
-    bits at level 4 and usually equals it at level 5.  Each
-    Toeplitz entry R A^k C of block r, [[a, R], [C, A]] with A of size s and
-    k < s, is (R A^(k//2)) (A^((k+1)//2) C), the baby-step split of Kaltofen
-    (ISSAC 1992): a chained vector gains about one entry's bits per product,
-    so two chains of about s/2 products reach about half the bits of one
-    chain A^k C.
+    Two exact steps come first.  A singular M is cut to its image: with V r
+    columns of M spanning im M and M V = V R, det(xI - M) = x^(n-r)
+    det(xI - R), as im M is M-invariant and M is 0 on the quotient.  V is M's
+    pivot columns mod 65521, independent over Q, so n of them prove M
+    invertible; K = solve_right(V, M) exists only if V spans im M, and then
+    R = K V with no exact rank.  If 65521 lost rank, the exact pivots cut, so
+    the prime never decides the answer; at r = 0, R is 0 x 0, with charpoly 1.
+    This pays at level 4, where an even-m T_m has rank about d/2.  Then
+    Berkowitz's division-free recursion (Berkowitz 1984) runs on L M',
+    M' = D^-1 num the similar row form of M = num D^-1 (D = diag(dens)), L its
+    scale, and c_k(M') = c_k(L M') / L^(n-k).  L divides M's lcm(dens): it is
+    far smaller at levels 2 and 3, has about half the bits at level 4 and
+    usually equals it at level 5.  Each Toeplitz entry R A^k C of block r,
+    [[a, R], [C, A]] with A of size s and k < s, is (R A^(k//2))
+    (A^((k+1)//2) C), the baby-step split of Kaltofen (ISSAC 1992): a chained
+    vector gains about one entry's bits per product, so two chains of about
+    s/2 products reach about half the bits of one chain A^k C.
     """
     if not mat.is_square():
         raise ValueError("charpoly needs a square matrix")
-    zeros = []
-    while mat.rows and _maybe_singular(mat.num):
-        pivots, _ = _bareiss([row[:] for row in mat.num], mat.rows)
+    zeros, exact = [], False
+    while mat.rows:
+        pivots = _bareiss([row[:] for row in mat.num], mat.rows)[0] if exact else _pivots_mod_p(mat.num)
         if len(pivots) == mat.rows:
             break
-        zeros += [Fraction(0)] * (mat.rows - len(pivots))
         image = ExactMatrix._over([[row[j] for j in pivots] for row in mat.num], [mat.dens[j] for j in pivots])
-        mat = solve_right(image, mat * image)
+        try:
+            cut = solve_right(image, mat)
+        except InconsistentSystemError:  # 65521 divides a minor: cut at the exact pivots, which span im M
+            exact = True
+            continue
+        zeros += [Fraction(0)] * (mat.rows - len(pivots))
+        mat, exact = cut * image, False
     n = mat.rows
     m, scale = _scaled_rows(mat)
     # descending coefficients of the charpoly of the trailing block m[r:, r:]
@@ -320,11 +325,18 @@ def charpoly(mat):
     return zeros + [Fraction(vec[n - k], scale ** (n - k)) for k in range(n + 1)]
 
 
-def _maybe_singular(num):
-    """False only if num is provably invertible: exact Bareiss on its residues mod 65521 ends in a pivot != 0 mod 65521."""
-    work = [[x % 65521 for x in row] for row in num]
-    pivots, _ = _bareiss(work, len(work))
-    return len(pivots) < len(work) or not work[-1][-1] % 65521
+def _pivots_mod_p(num):
+    """Pivot columns of an echelon form of num mod p = 65521 (a row left becomes p0 row - f top): independent over Q."""
+    rows, pivots = [[x % 65521 for x in row] for row in num], []
+    for col in range(len(num[0]) if num else 0):
+        if top := next((row for row in rows if row[col]), None):
+            rows.remove(top)
+            p0, tail = top[col], top[col:]
+            for row in rows:
+                if f := row[col]:
+                    row[col:] = [(p0 * x - f * y) % 65521 for x, y in zip(row[col:], tail)]
+            pivots.append(col)
+    return pivots
 
 
 def _scaled_rows(mat):

@@ -9,7 +9,8 @@ level 2; levels 3..5 run in an experimental mode where a failed basis is
 surfaced, never patched.
 """
 
-from math import lcm
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
 from .exactlinalg import ExactMatrix, charpoly, solve_right
 from .heckesum import hecke_images
 from .periodpoly import PeriodContext, r_plus_odd, require_weight, s_poly
-from .polyring import coeff_dot
+from .polyring import BoundedPolynomial, coeff_dot
 
 # (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
 # dim S_k = 1 - k + nu2 [k/4] + nu3 [k/3] + cusps (k/2 - 1) (Diamond-Shurman, Thm 3.5.1)
@@ -66,16 +67,76 @@ def basis_matrix(w, which):
 
 
 class HeckeComputation(NamedTuple):
-    """One full T_m computation with its intermediate matrices."""
+    """One full T_m computation with its intermediate matrices and T's characteristic polynomial."""
 
     basis_indices: list
     s1: ExactMatrix
     s2: ExactMatrix
     t: ExactMatrix
+    charpoly: list
+
+
+def _w_split(level, w, m, b, c):
+    """C = B T solved on the eigenspaces of W_N: (T, blocks), or None when a column is not W-symmetric.
+
+    W_N sends P_n to N^(h-n) P_(w-n), h = w/2 (identity 5 of ``heckesum``, m = 1).  Its eigenspaces hold the columns
+    Q+-_n = P_n +- N^(h-n) P_(w-n), n < h, and P_h (+); the rows F+-_k(v) = N^(h-k) v_k +- (-1)^k v_(w-k), k < h, and
+    v_h (in the (-1)^h block) vanish on the other one.  Once each adapted base column's other rows F are checked
+    zero, its own F_k is 2 N^(h-k) times its coefficient k: a block solves on rows 0..h and still certifies C = B T
+    on every coefficient.  For gcd(m, N) = 1, T_m commutes with W_N: each block solves for its own adapted images
+    (checked the same way; half the right-hand sides of the Y path), blocks = (T+, T-) and Y = diag(T+, T-) Q^-1;
+    otherwise each solves for its rows of Y = Q^-1 T against F(C) / (2 N^(h-k)), and blocks is None.  T = Q Y in
+    O(d^2).
+    """
+    d, h, npow = b.cols, w // 2, [level**e for e in range(w // 2 + 1)]
+    pairs = [(i, d - 1 - i, npow[d - 1 - 2 * i]) for i in range(d // 2)]  # indices 2i + 2, w - 2i - 2 and N^(h-2i-2)
+    mid = [d // 2] if d % 2 else []  # index h
+
+    def project(num, sign):  # rows F_sign of the columns of num
+        rows = [[npow[h - k] * x + sign * (-1) ** k * y for x, y in zip(num[k], num[w - k])] for k in range(h)]
+        return rows + [num[h]] if (-1) ** h == sign else rows
+
+    def adapt(rows, dens, sign):  # (rows, dens) of the columns Q_sign
+        coefs, centre = [(i, j, dens[j], sign * s * dens[i]) for i, j, s in pairs], mid if sign > 0 else []
+        adapted = [[r[i] * u + r[j] * v for i, j, u, v in coefs] + [r[k] for k in centre] for r in rows]
+        return adapted, [dens[i] * u for i, _, u, _ in coefs] + [dens[k] for k in centre]
+
+    coprime, ys, blocks = gcd(m, level) == 1, [], []
+    for sign in (1, -1):
+        if any(any(r) for mat in (b, c)[: 1 + coprime] for r in adapt(project(mat.num, -sign), mat.dens, sign)[0]):
+            return None
+        low = h + ((-1) ** h == sign)  # rows 0..h-1, and row h in its block
+        rhs = adapt(c.num[:low], c.dens, sign) if coprime else (  # else F_k(C) / (2 N^(h-k)) and c_h, over 2 N^h
+            [[x * u for x in row] for u, row in zip(npow[:h] + [2 * npow[h]], project(c.num, sign))],
+            [2 * npow[h] * e for e in c.dens],
+        )
+        try:
+            y = solve_right(ExactMatrix._over(*adapt(b.num[:low], b.dens, sign)), ExactMatrix._over(*rhs))
+        except (UnderdeterminedSystemError, InconsistentSystemError):  # the direct solve names the failure
+            return None
+        if coprime:  # column p of T_sign goes over 2 to index i and over sign 2 N^(h-n) to its mirror j
+            blocks.append(y)
+            cols, place = list(zip(*y.num)), [None] * d
+            for p, (i, j, s) in enumerate(pairs):
+                place[i], place[j] = (cols[p], 2 * y.dens[p]), (cols[p], sign * 2 * s * y.dens[p])
+            for k in mid:
+                place[k] = (cols[-1], y.dens[-1]) if sign > 0 else ([0] * y.rows, 1)
+            y = ExactMatrix.from_columns(*zip(*place))
+        ys.append(y)
+    # T = Q Y: row i is Y+_p + Y-_p, row j is N^(h-n) (Y+_p - Y-_p), row h is Y+'s last, over one denominator a column
+    (yp, ym), rows = ys, [None] * d
+    dens = [lcm(u, v) for u, v in zip(yp.dens, ym.dens)]
+    up, um = ([den // e for den, e in zip(dens, y.dens)] for y in ys)
+    for p, (i, j, s) in enumerate(pairs):
+        x, y = list(map(mul, yp.num[p], up)), list(map(mul, ym.num[p], um))
+        rows[i], rows[j] = list(map(add, x, y)), [s * (u - v) for u, v in zip(x, y)]
+    for k in mid:
+        rows[k] = list(map(mul, yp.num[-1], up))
+    return ExactMatrix._over(rows, dens), blocks or None
 
 
 def _solve(level, w, m):
-    """Basis indices, base period polynomials and T, with no Gram pairing."""
+    """Basis indices, base period polynomials, T, and T's W_N blocks (None unless T is block-diagonal in them)."""
     if m < 1:
         raise ValueError("m must be positive")
     d = dim_cusp(level, w)
@@ -90,7 +151,8 @@ def _solve(level, w, m):
     try:
         # column k of B (of C) is the coefficient vector of base[k] (of image[k]), over its denominator
         b, c = (ExactMatrix.from_columns([p.num for p in polys], [p.den for p in polys]) for polys in (base, images))
-        t = solve_right(b, c)
+        # the basis 2, 4, ..., 2d holds every index's mirror w - n exactly when 2d = w - 2: levels 4, and 5 at 4 | w
+        t, blocks = (2 * d == w - 2 and _w_split(level, w, m, b, c)) or (solve_right(b, c), None)
     except UnderdeterminedSystemError as exc:
         raise BasisDeficientError(
             "period polynomials of indices %s are dependent (rank %s); no basis at level %d, w = %d"
@@ -100,7 +162,7 @@ def _solve(level, w, m):
         raise BasisDeficientError(
             "T_%d image leaves the span of the period basis at level %d, w = %d" % (m, level, w)
         ) from exc
-    return indices, base, t
+    return indices, base, t, blocks
 
 
 def gram(base, t):
@@ -117,8 +179,14 @@ def gram(base, t):
     return s1, s1 * t
 
 
+def _solve_charpoly(level, w, m):
+    """Basis indices, base period polynomials, T and charpoly(T): charpoly(T+) charpoly(T-) when T has W_N blocks."""
+    indices, base, t, blocks = _solve(level, w, m)
+    return indices, base, t, prod(BoundedPolynomial(charpoly(mat)) for mat in blocks or [t]).coeffs
+
+
 def hecke_computation(level, w, m):
-    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 for output.
+    """Compute T_m on the weight-(w+2) cusp space, with S1, S2 and the charpoly for output.
 
     The matrix represents T_m with respect to the normalized even-index
     period basis ``base[k] = s_poly(PeriodContext(level, w, 2k + 2))`` and
@@ -129,9 +197,9 @@ def hecke_computation(level, w, m):
     output only; ``S1^-1 S2^t = S1^-1 T^t S1`` is the adjoint of T_m for that
     product, a similar but different matrix.  Entries are exact rationals.
     """
-    indices, base, t = _solve(level, w, m)
+    indices, base, t, cp = _solve_charpoly(level, w, m)
     s1, s2 = gram(base, t)
-    return HeckeComputation(indices, s1, s2, t)
+    return HeckeComputation(indices, s1, s2, t, cp)
 
 
 def hecke_matrix(level, w, m):
@@ -144,5 +212,5 @@ def hecke_matrix(level, w, m):
 
 
 def hecke_charpoly(level, w, m):
-    """Characteristic polynomial of T_m, monic, coefficients ascending."""
-    return charpoly(hecke_matrix(level, w, m))
+    """Characteristic polynomial of T_m, monic, coefficients ascending; from T's W_N blocks when it has them."""
+    return _solve_charpoly(level, w, m)[3]

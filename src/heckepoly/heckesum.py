@@ -190,9 +190,9 @@ def hecke_images(level, w, ns, m):
     One sign_restricted_sum pass serves every index; per index, one pair of Bernoulli rows serves both parts, and
     each row B^0_k is built once per call: the k = ntilde + 1 of one index may be the k = n + 1 of another.  Every
     base is the m = 1 period sum on its index's rows.  When gcd(m, level) = 1, the image of an index n whose mirror
-    ntilde = w - n is in ns with ntilde > n is read off the image of index ntilde by ``fricke_mirror`` (identity 5),
-    and the sign sum skips it; otherwise every image is computed directly.  The larger index of a pair is the one
-    summed: its pencil (1+X)^ntilde (s - tX)^n has the smaller power of s - tX, so smaller integers.
+    ntilde = w - n > n is in ns is read off the image of index ntilde by ``fricke_mirror`` (identity 5) and the sign
+    sum skips it; the larger index, whose pencil (1+X)^ntilde (s - tX)^n has the smaller power of s - tX, is summed.
+    Otherwise every image is computed directly.  ``heckeop._w_split`` pairs the same indices into W_N-eigenvectors.
     """
     ctxs = {n: PeriodContext(level, w, n) for n in ns}
     for ctx in ctxs.values():

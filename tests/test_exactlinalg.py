@@ -512,7 +512,7 @@ def test_charpoly_of_singular_matrices_cuts_to_the_image():
 
 
 def test_charpoly_probe_falls_back_to_the_exact_rank():
-    # nonsingular, but every determinant is a multiple of the probe prime 65521
+    # nonsingular, but every determinant is a multiple of the probe prime 65521: fewer pivots mod 65521 than the rank
     cases = [
         ([[65521]], [-65521, 1]),
         ([[65521, 0, 0], [0, 2, 0], [0, 0, 3]], [-393126, 327611, -65526, 1]),
@@ -520,12 +520,38 @@ def test_charpoly_probe_falls_back_to_the_exact_rank():
     ]
     for rows, expected in cases:
         mat = ExactMatrix(rows)
-        assert exactlinalg._maybe_singular(mat.num) and rank(mat) == mat.rows
+        assert len(exactlinalg._pivots_mod_p(mat.num)) < rank(mat) == mat.rows
         assert charpoly(mat) == _berkowitz_one_sided(mat) == _faddeev_leverrier(rows) == expected
-    # the probe passes an invertible matrix whose determinant is not a multiple of it
-    assert not exactlinalg._maybe_singular([[65522]])
-    assert not exactlinalg._maybe_singular([[2, 1], [1, 1]])
-    assert exactlinalg._maybe_singular([[2, 4], [1, 2]])
+    # all n pivots prove an invertible matrix whose determinant is not a multiple of the prime
+    assert exactlinalg._pivots_mod_p([[65522]]) == [0]
+    assert exactlinalg._pivots_mod_p([[2, 1], [1, 1]]) == [0, 1]
+    assert exactlinalg._pivots_mod_p([[2, 4], [1, 2]]) == [0]
+    assert exactlinalg._pivots_mod_p([[0, 3, 1], [0, 6, 2], [0, 0, 5]]) == [1, 2]
+
+
+def test_charpoly_cuts_at_the_pivots_mod_p_without_an_exact_rank(monkeypatch):
+    # the exact rank is Bareiss over all n columns; solve_right's Bareiss runs over the r < n unknowns only
+    real_bareiss = exactlinalg._bareiss
+    widths = []
+
+    def recording(work, pivot_cols):
+        widths.append(pivot_cols)
+        return real_bareiss(work, pivot_cols)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss", recording)
+    # rank 2 with independent pivots mod 65521: the cut at them holds, so no exact rank runs
+    mat = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert exactlinalg._pivots_mod_p(mat.num) == [0, 1]
+    assert charpoly(mat) == _faddeev_leverrier(mat.entries)
+    assert widths and 3 not in widths
+    # singular, and its rank mod 65521 is below its rank: the cut at the mod-p pivots is inconsistent, so the
+    # exact rank runs and cuts at its pivots
+    rows = [[65521, 0, 0], [0, 0, 0], [0, 0, 1]]
+    mat = ExactMatrix(rows)
+    assert exactlinalg._pivots_mod_p(mat.num) == [2] and rank(mat) == 2
+    widths.clear()
+    assert charpoly(mat) == [0, 65521, -65522, 1] == _faddeev_leverrier(rows)  # x (x - 65521) (x - 1)
+    assert 3 in widths
 
 
 def test_charpoly_berkowitz_runs_on_the_better_scaled_form():

@@ -267,3 +267,76 @@ def test_one_sign_sum_pass_per_hecke_computation(monkeypatch):
     assert calls["sign_sum"] == 1
     heckesum.sign_restricted_sum(3, 24, [2], 100)
     assert calls["divisors_inside", 1] == calls["divisors_inside", passed] > 0
+
+
+# The W_N split: at levels 4 and 5 (4 | w) the period basis holds every index's mirror w - n, and _solve runs the
+# two eigenspace blocks instead of one solve.  Its T and charpoly must equal the direct solve's exactly.
+
+W_SPLIT_MS = tuple(range(1, 26)) + (27, 49, 97, 121, 255, 256)
+
+
+def _base_and_images(level, w, m):
+    d = dim_cusp(level, w)
+    base, images = heckesum.hecke_images(level, w, [2 * i for i in range(1, d + 1)], m)
+    return [ExactMatrix.from_columns([p.num for p in polys], [p.den for p in polys]) for polys in (base, images)]
+
+
+def test_w_split_equals_the_direct_solve_at_levels_4_and_5():
+    paths = Counter()
+    for level in (4, 5):
+        for w in range(4, 43, 2 if level == 4 else 4):
+            for m in W_SPLIT_MS:
+                b, c = _base_and_images(level, w, m)
+                t, blocks = heckeop._w_split(level, w, m, b, c)
+                assert t == exactlinalg.solve_right(b, c), (level, w, m)
+                if blocks is not None:
+                    # block-diagonal exactly when T_m commutes with W_N
+                    assert gcd(m, level) == 1 and [blk.rows for blk in blocks] == [(t.rows + 1) // 2, t.rows // 2]
+                    plus, minus = (BoundedPolynomial(charpoly(blk)) for blk in blocks)
+                    assert (plus * minus).coeffs == charpoly(t), (level, w, m)
+                paths[level, blocks is not None] += 1
+    # level 4: 20 weights, 18 odd m; level 5: 10 weights, 25 m prime to 5
+    assert paths == {(4, True): 360, (4, False): 260, (5, True): 250, (5, False): 60}
+
+
+def test_w_split_serves_hecke_computation_unchanged(monkeypatch):
+    cases = [(4, 8, 3), (4, 10, 2), (4, 30, 5), (4, 32, 2), (5, 4, 2), (5, 32, 5), (5, 40, 3), (3, 4, 7)]
+    split = {case: hecke_computation(*case) for case in cases}
+    taken = []
+    real_split = heckeop._w_split
+    monkeypatch.setattr(heckeop, "_w_split", lambda *args: taken.append(args[:3]) or real_split(*args))
+    for case in cases:
+        hecke_computation(*case)
+    assert taken == cases  # level 3 at w = 4 (d = 1) is W-closed too
+    monkeypatch.setattr(heckeop, "_w_split", lambda *args: None)
+    for case in cases:
+        direct = hecke_computation(*case)
+        assert split[case] == direct, case  # basis indices, S1, S2, T and the charpoly
+        assert direct.charpoly == charpoly(direct.t) == hecke_charpoly(*case)
+
+
+def test_w_split_is_not_taken_where_a_mirror_is_missing(monkeypatch):
+    # _solve asks for the split only where the basis 2..2d is W-closed (2d = w - 2); a None answer leaves the direct solve
+    taken = []
+    monkeypatch.setattr(heckeop, "_w_split", lambda *args: taken.append(args[:3]))
+    for case in [(2, 10, 3), (3, 10, 2), (5, 12, 3), (2, 40, 2), (4, 6, 2), (3, 30, 5)]:
+        assert hecke_matrix(*case) == exactlinalg.solve_right(*_base_and_images(*case))
+    assert taken == [(5, 12, 3), (4, 6, 2)]
+
+
+def test_a_base_off_w_symmetry_takes_the_direct_solve(monkeypatch):
+    b, c = _base_and_images(4, 10, 3)
+    assert heckeop._w_split(4, 10, 3, b, c) is not None
+    # halving one base column breaks the pairing P_(w-n) = N^(n-h) W P_n, so the guard refuses the split
+    halved = ExactMatrix.from_columns(list(zip(*b.num)), [b.dens[0] * 2] + b.dens[1:])
+    assert heckeop._w_split(4, 10, 3, halved, c) is None
+    real_hecke_images = heckeop.hecke_images
+
+    def halved_first_base(level, w, ns, m):
+        bases, images = real_hecke_images(level, w, ns, m)
+        return [bases[0] * Fraction(1, 2)] + bases[1:], images
+
+    monkeypatch.setattr(heckeop, "hecke_images", halved_first_base)
+    t = hecke_matrix(4, 10, 3)
+    assert t == exactlinalg.solve_right(halved, c)
+    assert hecke_charpoly(4, 10, 3) == charpoly(t)
