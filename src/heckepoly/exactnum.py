@@ -1,15 +1,14 @@
 """Exact number-theoretic primitives.
 
-Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli
-polynomials B^0_k, weighted integer power sums, divisor power sums, the
-Moebius function, and a factorization read off the divisor list behind the
-prime-divisor helpers, so ``divisors`` is the one trial-division loop.
-Everything is exact; nothing here ever rounds.
+Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli polynomials B^0_k, weighted integer
+power sums, divisor power sums, the Moebius function, the Hecke multiplication law on Gamma0(N), and a
+factorization read off the divisor list behind the prime-divisor helpers, so ``divisors`` is the one
+trial-division loop.  Everything is exact; nothing here ever rounds.
 """
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .polyring import BoundedPolynomial
@@ -84,6 +83,14 @@ def sigma(k, n):
     if n < 1:
         raise ValueError("n must be positive")
     return sum(d**k for d in divisors(n))
+
+
+def hecke_terms(level, k, g):
+    """(e, e^(k-1)) over e | g, gcd(e, level) = 1, ascending: T_a T_b = sum of c T_(ab/e^2) over them at g = gcd(a, b).
+
+    The one Hecke multiplication law on S_k(Gamma0(level)), U_p at p | level included (Diamond-Shurman, GTM 228, 5.3).
+    """
+    return [(e, e ** (k - 1)) for e in divisors(g) if gcd(e, level) == 1]
 
 
 def factorize(n):

@@ -5,7 +5,7 @@ by the recurrence of their logarithmic derivative, Eisenstein series at both
 cusps of Gamma0(2), Hecke action on coefficients, a triangular cusp-form
 basis of one eta quotient per form (times M2 at weights 2 mod 4), and oracle
 Hecke matrices to cross-check the period-polynomial pipeline: T_p from
-q-expansions at each prime p | m, T_m from the Hecke relations.
+q-expansions at each prime p | m, T_m by the Hecke law of ``hecke_terms``.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, factorize, sigma
+from .exactnum import bernoulli_number, factorize, hecke_terms
 from .polyring import _as_fraction, _IntVector, _lowest_terms, convolve
 
 
@@ -176,19 +176,17 @@ def eisenstein_gamma02(k, cusp, prec):
 def hecke_on_qseries(f, m):
     """Apply T_m to a form on Gamma0(2) of weight k = f.weight, coefficientwise.
 
-    a_n(T_m f) = sum over odd d | gcd(m, n) of d^(k-1) a_{mn/d^2}: the even
-    d drop out because 2 divides the level.  The result has weight k and keeps
-    coefficients 0 .. prec(f) // m.
+    a_n(T_m f) = sum of c a_{mn/e^2} over the pairs (e, c) of ``hecke_terms(2, k, m)`` with e | n, the law
+    T_m T_n = sum of c T_(mn/e^2) read at q^1: the even e drop out because 2 divides the level.  The result has
+    weight k and keeps coefficients 0 .. prec(f) // m.
     """
     if m < 1:
         raise ValueError("m must be positive")
     top = f.prec // m
-    # a divisor of gcd(m, n) with n >= 1 is at most top; n = 0 meets every odd d | m, so
-    # a_0(T_m f) = a_0 sigma_(k-1)(odd part of m), not summed at all when a_0 = 0
-    odd = [(d, d ** (f.weight - 1)) for d in range(1, top + 1, 2) if m % d == 0]
-    num = [sum(e * f.num[m * n // (d * d)] for d, e in odd if n % d == 0) for n in range(1, top + 1)]
-    a0 = f.num[0] and f.num[0] * sigma(f.weight - 1, m // (m & -m))
-    return QSeries._over(f.weight, [a0] + num, f.den)
+    # n = 0 meets every e, so a_0(T_m f) = a_0 (sum of c); at top = 0 and a_0 = 0 nothing is summed, m not factored
+    terms = hecke_terms(2, f.weight, m) if top or f.num[0] else []
+    num = [sum(c * f.num[m * n // (e * e)] for e, c in terms if n % e == 0) for n in range(1, top + 1)]
+    return QSeries._over(f.weight, [f.num[0] and f.num[0] * sum(c for _, c in terms)] + num, f.den)
 
 
 def _basis_orders(k):
@@ -236,12 +234,12 @@ def hecke_matrix_oracle(k, m, prec=None):
 
     Each prime p | m gives T_p: the basis coordinates of its images, by one
     exact solve over coefficients 1 .. prec//P, P the largest prime of m (1
-    at m = 1).  T_m follows by the Hecke relations (Diamond-Shurman, GTM 228,
-    section 5.3): T_ab = T_a T_b for coprime a, b; T_(2^a) = T_2^a as 2
-    divides the level; T_(p^(j+1)) = T_p T_(p^j) - p^(k-1) T_(p^(j-1)) at
-    odd p.  Form j begins with q^j, so rows 1 .. d give d pivots: the one
-    precision rule is PrecisionError when prec // P < d, and an image that
-    leaves the basis's span raises BasisDeficientError.
+    at m = 1).  T_m follows by the Hecke law of ``hecke_terms(2, k, g)``
+    (Diamond-Shurman, GTM 228, section 5.3): one term at g = 1 makes T_m the
+    product of its prime-power parts, and T_(p^(j+1)) = T_p T_(p^j) - (sum of
+    c over e > 1 at g = p) T_(p^(j-1)).  Form j begins with q^j, so rows 1 .. d
+    give d pivots: the one precision rule is PrecisionError when prec // P < d,
+    and an image that leaves the basis's span raises BasisDeficientError.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -263,9 +261,9 @@ def hecke_matrix_oracle(k, m, prec=None):
             tp = solve_right(_coefficient_matrix(basis, nrows), _coefficient_matrix(images, nrows))
         except InconsistentSystemError as exc:
             raise BasisDeficientError("T_%d image leaves the span of the oracle basis at weight %d" % (p, k)) from exc
-        previous, power = identity, tp
+        previous, power, tail = identity, tp, sum(c for e, c in hecke_terms(2, k, p) if e > 1)
         for _ in range(a - 1):
-            previous, power = power, tp * power - (p % 2) * p ** (k - 1) * previous
+            previous, power = power, tp * power - tail * previous
         t = t * power
     return t
 

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .exactlinalg import ExactMatrix, charpoly, determinant, hankel_bernoulli, solve_right
-from .exactnum import bernoulli_number
+from .exactnum import bernoulli_number, hecke_terms
 from .heckeop import basis_matrix, dim_cusp, hecke_computation, hecke_matrix
 from .heckesum import (
     diagonal_sum,
@@ -267,30 +267,28 @@ def suite_assembly(max_weight=30):
     return _grid("assembly N=%d w=%d n=%d %s", _check_assembly, cases)
 
 
-def _check_commuting_pair(tmat, m1, m2, w):
-    t1, t2 = tmat(w, m1), tmat(w, m2)
-    assert t1 * t2 == t2 * t1, "commutator nonzero"
-    assert t1 * t2 == tmat(w, m1 * m2), "multiplicativity fails"
-
-
-def _check_prime_square(tmat, p, w):
-    d = dim_cusp(2, w)
-    lhs = tmat(w, p * p)
-    rhs = tmat(w, p) * tmat(w, p) - ExactMatrix.identity(d) * (p ** (w + 1))
-    assert lhs == rhs
+def _check_hecke_law(tmat, level, a, b, w):
+    product = tmat(level, w, a) * tmat(level, w, b)
+    assert product == tmat(level, w, b) * tmat(level, w, a), "commutator nonzero"
+    law = [c * tmat(level, w, a * b // (e * e)) for e, c in hecke_terms(level, w + 2, gcd(a, b))]  # e = 1 first
+    assert product == sum(law[1:], law[0]), "T_a T_b is not the sum of e^(k-1) T_(ab/e^2)"
 
 
 def suite_hecke_relations(max_weight=22):
-    tmat = cache(lambda w, m: hecke_matrix(2, w, m))  # each T once per suite run
+    law = partial(_check_hecke_law, cache(hecke_matrix))  # each T once per suite run
     pairs = [(a, b) for a in range(2, 11) for b in range(a + 1, 11) if gcd(a, b) == 1]
     pair_cases = [(m1, m2, w) for w in range(6, max_weight + 1, 2) for m1, m2 in pairs]
     square_cases = [(p, w) for w in range(6, min(max_weight, 18) + 1, 2) for p in (3, 5)]
-    checks = _grid("T_%d,T_%d relations w=%d", partial(_check_commuting_pair, tmat), pair_cases)
-    return checks + _grid("T_%d^2 relation w=%d", partial(_check_prime_square, tmat), square_cases)
+    checks = _grid("T_%d,T_%d relations w=%d", partial(law, 2), pair_cases)
+    checks += _grid("T_%d^2 relation w=%d", lambda p, w: law(2, p, p, w), square_cases)
+    # levels 3-5: the same pairs and the squares of 2, 3 and 5 (U_p at p | N) at each w <= 40 the period basis serves
+    served = [(level, w) for level in (3, 4, 5) for w in range(6, min(max_weight, 40) + 1, 2)]
+    cases = [(n, a, b, w) for n, w in served if 0 < 2 * dim_cusp(n, w) < w for a, b in pairs + [(2, 2), (3, 3), (5, 5)]]
+    return checks + _grid("N=%d T_%d,T_%d relations w=%d", law, cases)
 
 
 # name -> (builder, ceiling of its --max-weight bound, or None for a suite that takes no bound);
-# CLI wall time at the ceiling: bases 9 s, theorem14 2 s, oracle 4 s, assembly 11 s, hecke-relations 6 s
+# CLI wall time at the ceiling: bases 9 s, theorem14 2 s, oracle 4 s, assembly 11 s, hecke-relations 12 s (levels 2-5)
 # (oracle --max-weight 200 ran past 60 s)
 SUITES = {
     "paper-examples": (suite_paper_examples, None),

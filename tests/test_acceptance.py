@@ -87,7 +87,7 @@ test_criterion_11_property_suites = criterion(
     "period symmetry, assembly agreement, and Hecke algebra relations",
     ("symmetry", None, None, 200),
     ("assembly", 30, None, 896),
-    ("hecke-relations", 22, None, 212),
+    ("hecke-relations", 22, None, 762),
 )
 test_criterion_12_t2_delta_relations = criterion(
     12, "T_2 action on Delta(z) and Delta(2z) through 30 coefficients", paper("T_2 action on Delta(z), Delta(2z)")
@@ -111,8 +111,8 @@ CHECK_NAME_HASHES = {
     ("symmetry", None): "04f7544db42ee61e838ac5eb607013676a9040a6a40dd07d66736a52b68e0349",
     ("assembly", None): "0ef8ff59779cf6e18976ca4eb5be20cd27595669f3f605846179b7dcb85c7f50",
     ("assembly", 100): "3334d369f806ba5da0cf41fb22c170503961b0674eb5ba296a8b7e45008d3053",
-    ("hecke-relations", None): "0160e22f0ff561bca3d2240009d08506a6ee995f74d8400040628fc32c979570",
-    ("hecke-relations", 58): "b6bdfb6d42d849726d8a7cf49e174f146f4f227a2d3179d07ca59fd65db101ff",
+    ("hecke-relations", None): "5edb6e55f7cc78dc6c4c276d17b02b9185e4da2a9e6421dcae140c7b5c40f477",
+    ("hecke-relations", 58): "f578041655db19be9b9987c1bc0fa6e55aae894db1bee22fab1c96062180ad44",
 }
 
 
@@ -124,3 +124,17 @@ def test_every_suite_builds_its_pinned_check_names():
             checks = builder() if bound is None else builder(bound)
             got[name, bound] = hashlib.sha256("\n".join(check.name for check in checks).encode()).hexdigest()
     assert got == CHECK_NAME_HASHES
+
+
+def test_hecke_relations_level2_names_are_unchanged():
+    # the level-2 checks come first, with the names and order they had when the suite ran at level 2 alone
+    level2 = {
+        None: (212, "0160e22f0ff561bca3d2240009d08506a6ee995f74d8400040628fc32c979570"),
+        58: (608, "b6bdfb6d42d849726d8a7cf49e174f146f4f227a2d3179d07ca59fd65db101ff"),
+    }
+    builder, _ = SUITES["hecke-relations"]
+    for bound, (count, digest) in level2.items():
+        names = [check.name for check in (builder() if bound is None else builder(bound))]
+        assert hashlib.sha256("\n".join(names[:count]).encode()).hexdigest() == digest, bound
+        assert not any(name.startswith("N=") for name in names[:count]), bound
+        assert all(name.startswith("N=") for name in names[count:]), bound

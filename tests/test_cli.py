@@ -507,7 +507,7 @@ def test_verify_weight_ceilings(capsys):
 
 def test_verify_suite_with_no_checks_is_an_error(capsys):
     # a bound below a suite's first weight builds no checks; "0/0 checks passed" would read as a pass
-    # hecke-relations starts at w = 6 for both its pair and its prime-square checks
+    # hecke-relations starts at w = 6 at every level, for its pair and its square checks alike
     for suite, bound in (("bases", 4), ("oracle", 6), ("hecke-relations", 4)):
         _assert_precondition(
             capsys,

@@ -14,6 +14,7 @@ from heckepoly.exactnum import (
     bernoulli_poly0,
     divisors,
     factorize,
+    hecke_terms,
     moebius,
     power_sums,
     prime_divisors,
@@ -273,3 +274,40 @@ def test_factorize_matches_prime_divisors_and_moebius():
         assert moebius(n) == ((-1) ** len(factors) if squarefree else 0)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_hecke_terms_at_a_prime():
+    # p | N: U_p, only e = 1; p not dividing N: the one extra term (p, p^(k-1))
+    for level in (2, 3, 4, 5):
+        for k in (4, 12, 42):
+            for p in (2, 3, 5, 7, 11):
+                extra = [] if level % p == 0 else [(p, p ** (k - 1))]
+                assert hecke_terms(level, k, p) == [(1, 1)] + extra, (level, k, p)
+
+
+def test_hecke_terms_at_a_composite_gcd():
+    # e runs over the divisors of g prime to N, ascending
+    assert hecke_terms(3, 6, 12) == [(1, 1), (2, 32), (4, 1024)]
+    assert hecke_terms(4, 6, 12) == [(1, 1), (3, 243)]
+    assert hecke_terms(5, 4, 50) == [(1, 1), (2, 8)]
+
+
+def test_hecke_terms_for_coprime_indices_is_one_term():
+    # g = gcd(a, b) = 1: T_a T_b = T_ab at every level and weight
+    for level in (2, 3, 4, 5):
+        for k in (4, 12, 42):
+            assert hecke_terms(level, k, 1) == [(1, 1)]
+
+
+def test_hecke_terms_match_the_level2_hand_written_values():
+    # the values they replace: (p % 2) p^(k-1) at level 2, p^(w+1) = p^(k-1), odd d | g with d^(k-1)
+    for k in range(4, 40, 2):
+        w = k - 2
+        for p in (2, 3, 5, 7, 11, 13):
+            assert sum(c for e, c in hecke_terms(2, k, p) if e > 1) == (p % 2) * p ** (k - 1)
+            if p % 2:
+                assert dict(hecke_terms(2, k, p))[p] == p ** (w + 1)
+        for g in range(1, 200):
+            odd = [(d, d ** (k - 1)) for d in range(1, g + 1, 2) if g % d == 0]
+            assert hecke_terms(2, k, g) == odd, (k, g)
+            assert sum(c for _, c in hecke_terms(2, k, g)) == sigma(k - 1, g // (g & -g))
