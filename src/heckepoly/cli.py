@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
 from .exactlinalg import hankel_bernoulli
-from .exactnum import bernoulli_number
+from .exactnum import bernoulli_number, require_even
 from .heckeop import _solve_charpoly, dim_cusp, hecke_charpoly, hecke_computation
 from .heckesum import enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
@@ -242,8 +242,7 @@ def _cmd_qexp(args):
 
 
 def _cmd_oracle_matrix(args):
-    if args.weight < 4 or args.weight % 2:
-        raise ValueError("weight must be an even integer >= 4, got %d" % args.weight)
+    require_even("weight", args.weight, 4)
     if args.prec < 0:
         raise ValueError("prec must be positive (0 selects the default), got %d" % args.prec)
     _require("oracle-matrix m", args.m)

@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrixError,
     UnderdeterminedSystemError,
 )
-from .exactnum import bernoulli_number
+from .exactnum import bernoulli_number, require_positive
 from .polyring import _as_fraction
 
 
@@ -366,8 +366,7 @@ def hankel_bernoulli(which, n):
     """
     if which not in (1, 2, 3):
         raise ValueError("which must be 1, 2, or 3")
-    if n < 1:
-        raise ValueError("n must be positive")
+    require_positive("n", n)
     entries = [
         [bernoulli_number(2 * i + 2 * j + 2 * which) / factorial(2 * i + 2 * j + 2 * which) for j in range(n)]
         for i in range(n)

@@ -1,9 +1,9 @@
 """Exact number-theoretic primitives.
 
-Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli polynomials B^0_k, weighted integer
-power sums, divisor power sums, the Moebius function, the Hecke multiplication law on Gamma0(N), and a
-factorization read off the divisor list behind the prime-divisor helpers, so ``divisors`` is the one
-trial-division loop.  Everything is exact; nothing here ever rounds.
+Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli polynomials B^0_k, weighted integer power
+sums, divisor power sums, the Moebius function, the Hecke multiplication law on Gamma0(N), the index and weight
+rules every layer checks its input by, and a factorization read off the divisor list behind the prime-divisor
+helpers, so ``divisors`` is the one trial-division loop.  Everything is exact; nothing here ever rounds.
 """
 
 from fractions import Fraction
@@ -16,6 +16,18 @@ from .polyring import BoundedPolynomial
 # B_0, B_1 seed the table; beside it, boustrophedon row len(table) - 2, whose successor gives B_len(table).  The pair
 # is one value, only ever replaced by a longer one, so the table and its row always agree.
 _bernoulli = ([Fraction(1), Fraction(-1, 2)], [1])
+
+
+def require_positive(name, value):
+    """The index rule: raise ValueError("<name> must be positive") unless value >= 1."""
+    if value < 1:
+        raise ValueError("%s must be positive" % name)
+
+
+def require_even(name, value, least):
+    """The weight rule: raise ValueError unless value is an even integer >= least."""
+    if value < least or value % 2:
+        raise ValueError("%s must be an even integer >= %d, got %d" % (name, least, value))
 
 
 def bernoulli_number(k):
@@ -67,8 +79,7 @@ def bernoulli_poly0(k):
 
 def divisors(n):
     """Sorted positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    require_positive("n", n)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -79,9 +90,10 @@ def divisors(n):
 
 
 def sigma(k, n):
-    """Divisor power sum sigma_k(n) = sum of d^k over d | n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Divisor power sum sigma_k(n) = sum of d^k over d | n, k >= 0."""
+    require_positive("n", n)
+    if k < 0:
+        raise ValueError("k must be nonnegative, got %d" % k)
     return sum(d**k for d in divisors(n))
 
 
@@ -90,6 +102,7 @@ def hecke_terms(level, k, g):
 
     The one Hecke multiplication law on S_k(Gamma0(level)), U_p at p | level included (Diamond-Shurman, GTM 228, 5.3).
     """
+    require_positive("k", k)  # e^(k-1) stays an integer
     return [(e, e ** (k - 1)) for e in divisors(g) if gcd(e, level) == 1]
 
 

@@ -21,8 +21,9 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactlinalg import ExactMatrix, charpoly, solve_right
+from .exactnum import require_even, require_positive
 from .heckesum import hecke_images
-from .periodpoly import PeriodContext, r_plus_odd, require_weight, s_poly
+from .periodpoly import PeriodContext, r_plus_odd, s_poly
 from .polyring import BoundedPolynomial, coeff_dot
 
 # (nu2, nu3, cusps) of Gamma0(N), N = 2..5; all have genus 0, so for even k >= 4
@@ -40,7 +41,7 @@ _BASIS_VARIANTS = {
 
 def dim_cusp(level, w):
     """Dimension of the weight-(w+2) cusp space on Gamma0(level), level in {2..5}."""
-    require_weight(w)
+    require_even("w", w, 2)
     if level not in _ELLIPTIC_CUSPS:
         raise LevelError("level %d unsupported (need 2..5)" % level)
     nu2, nu3, cusps = _ELLIPTIC_CUSPS[level]
@@ -137,8 +138,7 @@ def _w_split(level, w, m, b, c):
 
 def _solve(level, w, m):
     """Basis indices, base period polynomials, T, and T's W_N blocks (None unless T is block-diagonal in them)."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     d = dim_cusp(level, w)
     if d == 0:
         raise EmptySpaceError("dimension 0 (d_w = 0) for level %d, w = %d" % (level, w))

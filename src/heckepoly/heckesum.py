@@ -37,7 +37,7 @@ from math import gcd
 from operator import mul
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, sigma
+from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, require_positive, sigma
 from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period_sum
 from .polyring import BoundedPolynomial
 
@@ -51,8 +51,7 @@ def enumerate_H_neg(level, m):
     """
     if level < 2:
         raise ValueError("level must be >= 2")
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     out = []
     for s in range(1, m):
         t = m - s
@@ -99,8 +98,7 @@ def sign_restricted_sum(level, w, ns, m):
     ns = list(ns)
     for n in ns:
         PeriodContext(level, w, n)  # checks level >= 2, w even and 0 <= n <= w
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     accs = [[0] * (w + 1) for _ in ns]
     powers = [list(accumulate(repeat(x, w), mul, initial=1)) for x in range(m)]  # powers[x][e] = x^e
 
@@ -161,8 +159,7 @@ def diagonal_sum(ctx, m):
 def s_poly_m(ctx, m):
     """The raw index-m period polynomial sum (no divisibility correction)."""
     _require_interior(ctx)
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     return sign_restricted_sum(ctx.level, ctx.w, [ctx.n], m)[0] + diagonal_sum(ctx, m)
 
 
@@ -199,8 +196,7 @@ def hecke_images(level, w, ns, m):
         if ctx.n % 2:
             raise UnsupportedParityError("the odd period polynomial needs even n, got n=%d" % ctx.n)
         _require_interior(ctx)
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     mirror_of = {n: w - n for n in ctxs if w - n > n and w - n in ctxs} if gcd(m, level) == 1 else {}
     direct = [n for n in ctxs if n not in mirror_of]
     pairs = _diagonal_pairs(level, m)
@@ -224,8 +220,7 @@ def eigenvalue_w6(m):
 
     a_m = m sigma_1(m) + 240 sum over u + 2v = m, u,v >= 1 of (u-v) sigma_1(u) sigma_3(v).
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     if m % 2 == 0:
         raise UnsupportedParityError("the eigenvalue formula covers odd m only, got m=%d" % m)
     total = m * sigma(1, m)

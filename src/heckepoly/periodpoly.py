@@ -19,14 +19,8 @@ from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors
+from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors, require_even
 from .polyring import BoundedPolynomial
-
-
-def require_weight(w):
-    """The weight parameter w of every period and Hecke computation: an even integer >= 2."""
-    if w < 2 or w % 2:
-        raise ValueError("w must be an even integer >= 2, got %d" % w)
 
 
 class PeriodContext(NamedTuple("PeriodContext", [("level", int), ("w", int), ("n", int)])):
@@ -37,7 +31,7 @@ class PeriodContext(NamedTuple("PeriodContext", [("level", int), ("w", int), ("n
     def __new__(cls, level, w, n):
         if level < 2:
             raise ValueError("level must be >= 2")
-        require_weight(w)
+        require_even("w", w, 2)
         if not 0 <= n <= w:
             raise ValueError("n must satisfy 0 <= n <= w")
         return super().__new__(cls, level, w, n)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, PrecisionError
 from .exactlinalg import ExactMatrix, rank, solve_right
-from .exactnum import bernoulli_number, factorize, hecke_terms
+from .exactnum import bernoulli_number, factorize, hecke_terms, require_even, require_positive
 from .polyring import _as_fraction, _IntVector, _lowest_terms, convolve
 
 
@@ -125,8 +125,9 @@ def eisenstein_level1(k, prec):
     k = 2 is quasi-modular and is exposed only as a building block for the
     weight-2 level-2 combination in m2_weight2.
     """
-    if k < 2 or k % 2:
-        raise ValueError("k must be an even integer >= 2, got %d" % k)
+    require_even("k", k, 2)
+    if prec < 0:
+        raise ValueError("prec must be nonnegative")
     c = Fraction(-2 * k) / bernoulli_number(k)
     sigmas = [0] * (prec + 1)  # sigma_{k-1}(n) by one sieve: d^(k-1) goes to every multiple of d
     for d in range(1, prec + 1):
@@ -162,8 +163,7 @@ def eisenstein_gamma02(k, cusp, prec):
         E_inf = (2^k E_k(2z) - E_k) / (2^k - 1),
         E_0   = 2^k (E_k - E_k(2z)) / (2^k - 1).
     """
-    if k < 4 or k % 2:
-        raise ValueError("k must be an even integer >= 4, got %d" % k)
+    require_even("k", k, 4)
     if cusp not in ("infinity", "zero"):
         raise ValueError("cusp must be 'infinity' or 'zero'")
     ek = eisenstein_level1(k, prec)
@@ -180,8 +180,7 @@ def hecke_on_qseries(f, m):
     T_m T_n = sum of c T_(mn/e^2) read at q^1: the even e drop out because 2 divides the level.  The result has
     weight k and keeps coefficients 0 .. prec(f) // m.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     top = f.prec // m
     # n = 0 meets every e, so a_0(T_m f) = a_0 (sum of c); at top = 0 and a_0 = 0 nothing is summed, m not factored
     terms = hecke_terms(2, f.weight, m) if top or f.num[0] else []
@@ -191,8 +190,7 @@ def hecke_on_qseries(f, m):
 
 def _basis_orders(k):
     """Orders at infinity j = 1 .. d of the weight-k basis forms; d = k//4 - 1 is dim S_k(Gamma0(2))."""
-    if k < 4 or k % 2:
-        raise ValueError("k must be an even integer >= 4, got %d" % k)
+    require_even("k", k, 4)
     return range(1, k // 4)
 
 
@@ -216,8 +214,7 @@ def cusp_basis_gamma02(k, prec):
 
 def default_precision(k, m=1):
     """Precision max(k/2 + 10, P (k/4 + 2)), P the largest prime of m (1 at m = 1): T_p reads rows 1 .. prec // p."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     factors = factorize(m)
     return max(k // 2 + 10, (factors[-1][0] if factors else 1) * (k // 4 + 2))
 
@@ -241,8 +238,7 @@ def hecke_matrix_oracle(k, m, prec=None):
     give d pivots: the one precision rule is PrecisionError when prec // P < d,
     and an image that leaves the basis's span raises BasisDeficientError.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    require_positive("m", m)
     d = len(_basis_orders(k))
     if d < 1:
         raise EmptySpaceError("dimension 0 at weight %d on Gamma0(2)" % k)
@@ -297,8 +293,7 @@ def theorem14_check(k):
     and reports the exact rank of each family.  The basis has full column
     rank, so a family in its span has the rank of its d x d coordinates.
     """
-    if k < 8 or k % 2:
-        raise ValueError("k must be an even integer >= 8")
+    require_even("k", k, 8)
     prec = default_precision(k)
     basis_mat = _coefficient_matrix(cusp_basis_gamma02(k, prec), prec)
     d = basis_mat.cols  # one column per basis form

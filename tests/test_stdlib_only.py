@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import heckepoly
 
 PACKAGE_DIR = Path(heckepoly.__file__).parent
@@ -42,6 +44,18 @@ def test_qoracle_imports_only_the_exact_arithmetic_layers():
     offenders = [
         "qoracle.py:%d %s" % (line, module)
         for line, module in _imports(PACKAGE_DIR / "qoracle.py")
+        if module not in allowed and module not in sys.stdlib_module_names
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("name", ["exactnum.py", "exactlinalg.py"])
+def test_exact_arithmetic_layers_import_nothing_above_them(name):
+    # the oracle and every layer take their input rules and exact arithmetic from here, so these read nothing higher
+    allowed = {".errors", ".exactnum", ".polyring"}
+    offenders = [
+        "%s:%d %s" % (name, line, module)
+        for line, module in _imports(PACKAGE_DIR / name)
         if module not in allowed and module not in sys.stdlib_module_names
     ]
     assert offenders == []
