@@ -40,6 +40,7 @@ from .verify import SUITES, run_suite
 
 # Every cap on CLI input, keyed by the quantity's name as cap messages and help texts print it
 LIMITS = {
+    # at level 10^6, w = 1098: period-poly 0.29-0.35 s (minus) and 0.82-0.87 s (plus), hecke-sum --m 27 0.37-0.41 s
     "level": 10**6,
     # |H_neg| grows like m log^2 m: 41,664 matrices (0.8 MB of JSON) at level 2, m = 1000
     "--list-matrices m": 1000,
@@ -133,12 +134,14 @@ def _cmd_period_poly(args):
 
 
 def _cmd_hecke_sum(args):
+    # both modes check level, w + 1, the mode's own m cap, then (level, w, n): m's cap before w's parity or n's range
     _check_level(args.level)
+    _require("Bernoulli index", args.w + 1)
     if args.list_matrices:
         _require("--list-matrices m", args.m)
+        PeriodContext(args.level, args.w, args.n)
         _emit([list(mat) for mat in enumerate_H_neg(args.level, args.m)])
         return
-    _require("Bernoulli index", args.w + 1)
     _require("m (w + 1)", args.m * (args.w + 1), "%d * %d" % (args.m, args.w + 1))
     ctx = PeriodContext(args.level, args.w, args.n)
     poly = s_poly_m(ctx, args.m) if args.raw else r_minus_hecke(ctx, args.m)
@@ -280,44 +283,39 @@ def _cmd_verify(args):
 
 
 def build_parser():
-    w_help = "even; needs B_(w+1), so " + _cap("Bernoulli index")
-    dim_help = "even; S_(w+2) needs " + _cap("cusp space dimension")
     parser = _Parser(prog="heckepoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each family's shared flags, once: the period family (period-poly, hecke-sum), T_m's (hecke-matrix, charpoly)
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", type=int, required=True, help=_cap("level"))
+    period = argparse.ArgumentParser(add_help=False, parents=[level])
+    period.add_argument("--w", type=int, required=True, help="even; needs B_(w+1), so " + _cap("Bernoulli index"))
+    period.add_argument("--n", type=int, required=True)
+    hecke = argparse.ArgumentParser(add_help=False, parents=[level])
+    hecke.add_argument("--w", type=int, required=True, help="even; S_(w+2) needs " + _cap("cusp space dimension"))
+    hecke.add_argument("--m", type=int, required=True, help=_cap("index m"))
 
     p = sub.add_parser("bernoulli", help="print B_n as p/q")
     p.add_argument("--n", type=int, required=True, help=_cap("Bernoulli index"))
     p.set_defaults(func=_cmd_bernoulli)
 
-    p = sub.add_parser("period-poly", help="closed-form period polynomial")
-    p.add_argument("--level", type=int, required=True, help=_cap("level"))
-    p.add_argument("--w", type=int, required=True, help=w_help)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("period-poly", parents=[period], help="closed-form period polynomial")
     p.add_argument("--sign", choices=("plus", "minus"), required=True)
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p.set_defaults(func=_cmd_period_poly)
 
-    p = sub.add_parser("hecke-sum", help="index-m period polynomial sum")
-    p.add_argument("--level", type=int, required=True, help=_cap("level"))
-    p.add_argument("--w", type=int, required=True, help=w_help)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("hecke-sum", parents=[period], help="index-m period polynomial sum")
     p.add_argument("--m", type=int, required=True, help=_cap("m (w + 1)"))
     p.add_argument("--raw", action="store_true", help="omit the level|m correction term")
     list_help = "dump the sign-restricted matrix set instead (%s)" % _cap("--list-matrices m")
     p.add_argument("--list-matrices", action="store_true", help=list_help)
     p.set_defaults(func=_cmd_hecke_sum)
 
-    p = sub.add_parser("hecke-matrix", help="T_m in the period basis, with S1 and S2")
-    p.add_argument("--level", type=int, required=True, help=_cap("level"))
-    p.add_argument("--w", type=int, required=True, help=dim_help)
-    p.add_argument("--m", type=int, required=True, help=_cap("index m"))
+    p = sub.add_parser("hecke-matrix", parents=[hecke], help="T_m in the period basis, with S1 and S2")
     p.add_argument("--format", choices=("json", "text", "latex"), default="json")
     p.set_defaults(func=_cmd_hecke_matrix)
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial of T_m")
-    p.add_argument("--level", type=int, required=True, help=_cap("level"))
-    p.add_argument("--w", type=int, required=True, help=dim_help)
-    p.add_argument("--m", type=int, required=True, help=_cap("index m"))
+    p = sub.add_parser("charpoly", parents=[hecke], help="characteristic polynomial of T_m")
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("hankel", help="Bernoulli Hankel determinant vs closed form")
@@ -368,6 +366,3 @@ def main(argv=None):
         return _report("PreconditionViolated", str(exc))
     return status or 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,7 +55,9 @@ def bernoulli_number(k):
 
 
 def power_sums(terms, k):
-    """[sum of c*a^e over the integer pairs (c, a) in terms] for e = 0..k."""
+    """[sum of c*a^e over the integer pairs (c, a) in terms] for e = 0..k, k >= 0."""
+    if k < 0:
+        raise ValueError("k must be nonnegative, got %d" % k)
     rows = [accumulate(repeat(a, k), mul, initial=c) for c, a in terms]  # c*a^e, e = 0..k
     return list(map(sum, zip(*rows))) if rows else [0] * (k + 1)
 

@@ -216,7 +216,7 @@ def default_precision(k, m=1):
     """Precision max(k/2 + 10, P (k/4 + 2)), P the largest prime of m (1 at m = 1): T_p reads rows 1 .. prec // p."""
     require_positive("m", m)
     factors = factorize(m)
-    return max(k // 2 + 10, (factors[-1][0] if factors else 1) * (k // 4 + 2))
+    return max(k // 2 + 10, (factors[-1][0] if factors else 1) * (len(_basis_orders(k)) + 3))
 
 
 def _coefficient_matrix(series, nrows):

@@ -60,7 +60,7 @@ def matrix_json(mat):
 
 
 def matrix_text(mat):
-    cells = [[fraction_str(x) for x in row] for row in mat.entries]
+    cells = matrix_json(mat)
     widths = [max(map(len, col)) for col in zip(*cells)]
     return "\n".join("[ " + "  ".join(s.rjust(widths[j]) for j, s in enumerate(row)) + " ]" for row in cells)
 

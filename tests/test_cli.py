@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from heckepoly.cli import LIMITS, main
 from heckepoly.exactlinalg import charpoly
 from heckepoly.qoracle import hecke_matrix_oracle
 from heckepoly.serialize import coeffs_json
-from heckepoly.verify import SUITES
+from heckepoly.verify import SUITES, Check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,6 +143,26 @@ def test_hecke_sum_list_matrices_cap(capsys):
     status, out, _ = run_cli(capsys, "hecke-sum", "--level", "5", "--w", "6", "--n", "2", "--m", str(cap), "--list-matrices")
     assert status == 0
     assert len(json.loads(out)) > 0
+
+
+_LIST_REFUSALS = {
+    # each printed H_neg while the list mode skipped the sum mode's w + 1 and (level, w, n) checks
+    "odd w": (("--w", "3", "--n", "99"), "w must be an even integer >= 2, got 3"),
+    "n > w": (("--w", "6", "--n", "7"), "n must satisfy 0 <= n <= w"),
+    "w + 1 over the cap": (("--w", "1100", "--n", "2"), "Bernoulli index = 1101 exceeds the cap 1100"),
+    # in the sum mode's order: level, then w + 1, then the mode's own m cap, then (level, w, n)
+    "level first": (("--level", "1", "--w", "1100", "--m", "1001"), "level must be at least 2, got 1"),
+    "w + 1 before m": (("--w", "1100", "--m", "1001"), "Bernoulli index = 1101 exceeds the cap 1100"),
+    "m before (w, n)": (("--w", "0", "--m", "1001"), "--list-matrices m = 1001 exceeds the cap 1000"),
+}
+
+
+@pytest.mark.parametrize("args, message", _LIST_REFUSALS.values(), ids=_LIST_REFUSALS)
+def test_hecke_sum_list_matrices_checks_the_sum_modes_flags(capsys, args, message):
+    defaults = {"--level": "2", "--w": "6", "--n": "2", "--m": "4"}
+    defaults.update(zip(args[::2], args[1::2]))
+    argv = ["hecke-sum", *(x for flag_value in defaults.items() for x in flag_value)]
+    _assert_precondition(capsys, argv + ["--list-matrices"], message)
 
 
 def test_hecke_sum_m_cap(capsys):
@@ -348,6 +369,38 @@ def test_console_entrypoint_runs():
     assert result.stdout.strip() == "1"
 
 
+# SHA-256 of each --help at 80 columns, recorded before the period and T_m families shared one parent parser
+# each; top-level and period-poly carry two renderings, Python 3.10-3.12's usage wrapping and 3.13's
+_HELP_HASHES = {
+    "": (
+        "83cfdd34e4979eeb9847e4a8df60dea4687203c214d12553994c7a4720a4b111",
+        "28e2231ec87b7e4248c17792ed38c8b549e769c48eeec5172f55b564addb65b0",
+    ),
+    "bernoulli": ("9252b4b60d09f913a1b276b48b3cb612fe653de37b11a09dcc8ddf24709ad398",),
+    "period-poly": (
+        "1aea155f51bf1d56b4fa56c4d2895e3cfa6e01bfc2f0b7240a379d6f7174e03d",
+        "eeb5c53b2a002f0654ed026968e5c7a8f50acb1e5e6544b61f17ab173947dbea",
+    ),
+    "hecke-sum": ("9619c33824d0bf618215f7bbe717cf97f564adb874f89711150be1805c6d4f2d",),
+    "hecke-matrix": ("800c344a53ee89996b28ddbf2858b1e991d8c2a195f356eb81942b9a56acdcf8",),
+    "charpoly": ("9b8ae70214983191f3fa6579948c2d2c01ad79c0eae599fc0ac73cf422246eb2",),
+    "hankel": ("da19d65b4d9d3c2bfd4cc2639e3a927b62828804f2a7d0d0c902da2e3a818a64",),
+    "qexp": ("82f2f904bc1b42388624f02531cf3d1b9454da5d41ce146f16198462ce979c26",),
+    "oracle-matrix": ("dde55284f620e151cf22cd29c0ef04575558832234c3224a201b1cf1e2c2dc92",),
+    "verify": ("5ff6a510a52a1f111357fabd5aeacdf0912f8322691dff2605b9f591a397e59c",),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_HASHES), ids=[c or "top-level" for c in _HELP_HASHES])
+def test_help_text_hashes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() in _HELP_HASHES[command]
+
+
 CLOSED_PIPE_ARGV = {
     "verify-symmetry": ["verify", "--suite", "symmetry"],
     "list-matrices": ["hecke-sum", "--level", "2", "--w", "4", "--n", "2", "--m", "1000", "--list-matrices"],
@@ -503,6 +556,35 @@ def test_verify_weight_ceilings(capsys):
     status, out, _ = run_cli(capsys, "verify", "--suite", "theorem14", "--max-weight", "12")
     assert status == 0
     assert out.strip().splitlines()[-1] == "suite theorem14: 3/3 checks passed"
+
+
+def test_verify_reports_each_failure_and_exits_1(capsys, monkeypatch):
+    # a suite of one passing check, one AssertionError and one other exception: each failure is named with its
+    # detail, the summary counts it, and the exit status is 1
+    def fails():
+        raise AssertionError("T != T'")
+
+    checks = [Check("passes", lambda: None), Check("asserts", fails), Check("raises", lambda: 1 // 0)]
+    monkeypatch.setitem(SUITES, "mixed", (lambda: checks, None))
+    status, out, err = run_cli(capsys, "verify", "--suite", "mixed")
+    assert (status, err) == (1, "")
+    assert out.splitlines() == [
+        "ok   passes",
+        "FAIL asserts: T != T'",
+        "FAIL raises: ZeroDivisionError: integer division or modulo by zero",
+        "suite mixed: 1/3 checks passed",
+    ]
+
+
+def test_ci_runs_every_suite_at_its_ceiling():
+    # each suite has a CI step, and a bounded suite runs at exactly its ceiling, so raising one cannot leave CI
+    # checking less
+    workflow = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    steps = re.findall(r"python -m heckepoly verify --suite (\S+)(?: --max-weight (\d+))?\n", workflow)
+    assert sorted(suite for suite, _ in steps) == sorted(SUITES)
+    assert {suite: int(bound) if bound else None for suite, bound in steps} == {
+        name: ceiling for name, (_, ceiling) in SUITES.items()
+    }
 
 
 def test_verify_suite_with_no_checks_is_an_error(capsys):

@@ -5,7 +5,7 @@ from math import comb, gcd
 import pytest
 
 from heckepoly import exactlinalg, heckeop, heckesum
-from heckepoly.errors import BasisDeficientError, EmptySpaceError, LevelError
+from heckepoly.errors import BasisDeficientError, EmptySpaceError, InconsistentSystemError, LevelError
 from heckepoly.exactlinalg import ExactMatrix, charpoly, determinant, mat_inverse
 from heckepoly.exactnum import bernoulli_number
 from heckepoly.heckeop import (
@@ -313,6 +313,33 @@ def test_w_split_serves_hecke_computation_unchanged(monkeypatch):
         direct = hecke_computation(*case)
         assert split[case] == direct, case  # basis indices, S1, S2, T and the charpoly
         assert direct.charpoly == charpoly(direct.t) == hecke_charpoly(*case)
+
+
+@pytest.mark.parametrize("level, w, m", [(4, 10, 2), (4, 12, 4), (5, 12, 5)])
+def test_w_split_falls_back_when_a_block_solve_is_inconsistent(monkeypatch, level, w, m):
+    # gcd(m, N) > 1 checks only the base columns' W_N symmetry, so X^2 on index 4's image reaches a block solve:
+    # it raises, the split answers None, and the direct solve names the image outside the span
+    real_hecke_images, real_split, real_solve = heckeop.hecke_images, heckeop._w_split, heckeop.solve_right
+    answers, raised = [], []
+
+    def off_span(level, w, ns, m):
+        bases, images = real_hecke_images(level, w, ns, m)
+        return bases, [img + BoundedPolynomial([0, 0, 1], bound=w) if n == 4 else img for n, img in zip(ns, images)]
+
+    def solve(b, c):
+        try:
+            return real_solve(b, c)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(heckeop, "hecke_images", off_span)
+    monkeypatch.setattr(heckeop, "_w_split", lambda *args: answers.append(real_split(*args)) or answers[-1])
+    monkeypatch.setattr(heckeop, "solve_right", solve)
+    with pytest.raises(BasisDeficientError, match=r"T_%d image leaves the span .* level %d, w = %d$" % (m, level, w)):
+        hecke_computation(level, w, m)
+    assert answers == [None]
+    assert raised == [InconsistentSystemError, InconsistentSystemError]  # the block solve, then the direct one
 
 
 def test_w_split_is_not_taken_where_a_mirror_is_missing(monkeypatch):

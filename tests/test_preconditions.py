@@ -12,7 +12,7 @@ import pytest
 
 from heckepoly.cli import _cmd_oracle_matrix
 from heckepoly.exactlinalg import hankel_bernoulli
-from heckepoly.exactnum import divisors, hecke_terms, require_even, require_positive, sigma
+from heckepoly.exactnum import divisors, hecke_terms, power_sums, require_even, require_positive, sigma
 from heckepoly.heckeop import _solve, dim_cusp
 from heckepoly.heckesum import eigenvalue_w6, enumerate_H_neg, hecke_images, s_poly_m, sign_restricted_sum
 from heckepoly.periodpoly import PeriodContext
@@ -94,6 +94,25 @@ def test_sigma_refuses_a_negative_power():
     with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
         sigma(-1, 6)
     assert sigma(0, 6) == 4
+
+
+def test_power_sums_refuses_a_negative_power():
+    # power_sums([(1, 2)], -1) was [1] and power_sums([], -1) was []: the range e = 0..k is empty at k < 0
+    for terms in ([(1, 2)], []):
+        with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+            power_sums(terms, -1)
+    assert power_sums([(1, 2)], 0) == [1] and power_sums([], 0) == [0]
+
+
+def test_default_precision_applies_the_weight_rule():
+    # default_precision(-2) was 9, (7) 13 and (3, 5) 11: the basis length it sizes now reads the weight rule;
+    # the index rule on m still comes first
+    for args in ((-2,), (7,), (3, 5), (2, 1)):
+        with pytest.raises(ValueError, match="^k must be an even integer >= 4, got %d$" % args[0]):
+            default_precision(*args)
+    with pytest.raises(ValueError, match="^m must be positive$"):
+        default_precision(7, 0)
+    assert [default_precision(k) for k in (4, 6, 8)] == [12, 13, 14]
 
 
 def test_hecke_terms_refuses_a_weight_below_one():

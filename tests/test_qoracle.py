@@ -372,6 +372,20 @@ def test_theorem14_counts_its_own_dimension(monkeypatch):
         assert report.ok, k
 
 
+def test_theorem14_reports_a_family_outside_the_cusp_space(monkeypatch):
+    # with the cusp-product Eisenstein series replaced by level-1 ones, each product has a constant term and leaves
+    # the cusp basis's span: the report marks both families non-cuspidal and ranks their full coefficient matrices,
+    # here 2 = dim M_16(SL_2(Z)) below the d = 3 forms of each family
+    k, prec = 16, default_precision(16)
+    monkeypatch.setattr(qoracle, "eisenstein_gamma02", lambda weight, cusp, prec: eisenstein_level1(weight, prec))
+    report = theorem14_check(k)
+    family = [eisenstein_level1(2 * j + 2, prec) * eisenstein_level1(k - 2 - 2 * j, prec) for j in (1, 2, 3)]
+    full = ExactMatrix.from_columns([f.num[1:] for f in family], [f.den for f in family])
+    assert report.dim == 3 and rank(full) == 2
+    assert (report.cuspidal_first, report.rank_first) == (report.cuspidal_second, report.rank_second) == (False, 2)
+    assert not report.ok
+
+
 def test_theorem14_products_are_cuspidal():
     prec = 20
     w = 12
