@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from .errors import HeckePolyError
 from .exactlinalg import charpoly as _charpoly
 from .exactlinalg import hankel_bernoulli
-from .exactnum import bernoulli_number, require_even
+from .exactnum import bernoulli_number, require_even, require_level
 from .heckeop import _solve_charpoly, dim_cusp, hecke_charpoly, hecke_computation
 from .heckesum import enumerate_H_neg, r_minus_hecke, s_poly_m
 from .periodpoly import PeriodContext, r_plus_odd, s_poly
@@ -28,7 +28,6 @@ from .qoracle import (
 from .serialize import (
     charpoly_latex,
     coeffs_json,
-    fraction_str,
     matrix_json,
     matrix_latex,
     matrix_text,
@@ -108,14 +107,13 @@ def _cap(name):
 
 
 def _check_level(level):
-    if level < 2:
-        raise ValueError("level must be at least 2, got %d" % level)
+    require_level(level)
     _require("level", level)
 
 
 def _cmd_bernoulli(args):
     _require("Bernoulli index", args.n)
-    print(fraction_str(bernoulli_number(args.n)))
+    print(bernoulli_number(args.n))
 
 
 def _cmd_period_poly(args):
@@ -179,7 +177,7 @@ def _cmd_hecke_matrix(args):
         print(charpoly_latex(cp))
     else:
         print(matrix_text(t))
-        print("charpoly (ascending):", " ".join(fraction_str(c) for c in cp))
+        print("charpoly (ascending):", *cp)
 
 
 def _cmd_charpoly(args):
@@ -195,8 +193,8 @@ def _cmd_hankel(args):
         {
             "which": args.which,
             "n": args.n,
-            "det": fraction_str(det),
-            "closed_form": fraction_str(closed),
+            "det": str(det),
+            "closed_form": str(closed),
             "equal": det == closed,
         }
     )
@@ -239,7 +237,7 @@ def _cmd_qexp(args):
             "form": args.form,
             "weight": series.weight,
             "prec": series.prec,
-            "coeffs": [fraction_str(c) for c in series.coeffs],
+            "coeffs": coeffs_json(series.coeffs),
         }
     )
 

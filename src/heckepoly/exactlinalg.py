@@ -24,7 +24,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .exactnum import bernoulli_number, require_positive
-from .polyring import _as_fraction
+from .polyring import _as_fraction, clear_denominators
 
 
 class ExactMatrix:
@@ -45,11 +45,10 @@ class ExactMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("a row has %d entries, not cols = %d" % (len(row), cols))
-        # the lcm of a column's reduced denominators is its least common one
-        self.dens = [lcm(*(row[j].denominator for row in entries)) for j in range(cols)]
-        self.num = [[x.numerator * (d // x.denominator) for x, d in zip(row, self.dens)] for row in entries]
-        self.rows = rows
-        self.cols = cols
+        columns = [clear_denominators([row[j] for row in entries]) for j in range(cols)]
+        self.num = [[col[i] for col, _ in columns] for i in range(rows)]
+        self.dens = [den for _, den in columns]
+        self.rows, self.cols = rows, cols
 
     @classmethod
     def _over(cls, num, dens):

@@ -1,8 +1,8 @@
 """Exact number-theoretic primitives.
 
 Bernoulli numbers (convention B_1 = -1/2), the even-index-only Bernoulli polynomials B^0_k, weighted integer power
-sums, divisor power sums, the Moebius function, the Hecke multiplication law on Gamma0(N), the index and weight
-rules every layer checks its input by, and a factorization read off the divisor list behind the prime-divisor
+sums, divisor power sums, the Moebius function, the Hecke multiplication law on Gamma0(N), the index, level and
+weight rules every layer checks its input by, and a factorization read off the divisor list behind the prime-divisor
 helpers, so ``divisors`` is the one trial-division loop.  Everything is exact; nothing here ever rounds.
 """
 
@@ -22,6 +22,12 @@ def require_positive(name, value):
     """The index rule: raise ValueError("<name> must be positive") unless value >= 1."""
     if value < 1:
         raise ValueError("%s must be positive" % name)
+
+
+def require_level(level):
+    """The level rule: raise ValueError("level must be at least 2, got <level>") unless level >= 2."""
+    if level < 2:
+        raise ValueError("level must be at least 2, got %d" % level)
 
 
 def require_even(name, value, least):

@@ -37,7 +37,7 @@ from math import gcd
 from operator import mul
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, require_positive, sigma
+from .exactnum import bernoulli_poly0, divisors, moebius, power_sums, require_level, require_positive, sigma
 from .periodpoly import PeriodContext, _require_interior, bernoulli_rows, period_sum
 from .polyring import BoundedPolynomial
 
@@ -49,8 +49,7 @@ def enumerate_H_neg(level, m):
     hence ad = s and |bc| = m - s with 1 <= s <= m - 1; splitting both values
     into divisor pairs enumerates the set without scanning a 4-cube.
     """
-    if level < 2:
-        raise ValueError("level must be >= 2")
+    require_level(level)
     require_positive("m", m)
     out = []
     for s in range(1, m):

@@ -19,7 +19,7 @@ from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .errors import UnsupportedParityError
-from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors, require_even
+from .exactnum import bernoulli_number, bernoulli_poly0, power_sums, prime_divisors, require_even, require_level
 from .polyring import BoundedPolynomial
 
 
@@ -29,8 +29,7 @@ class PeriodContext(NamedTuple("PeriodContext", [("level", int), ("w", int), ("n
     __slots__ = ()
 
     def __new__(cls, level, w, n):
-        if level < 2:
-            raise ValueError("level must be >= 2")
+        require_level(level)
         require_even("w", w, 2)
         if not 0 <= n <= w:
             raise ValueError("n must satisfy 0 <= n <= w")

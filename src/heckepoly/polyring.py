@@ -19,7 +19,7 @@ def _as_fraction(x):
 
 
 def clear_denominators(values):
-    """Integers v and a positive D with values[k] == v[k] / D, D the lcm of the denominators."""
+    """Integers v and the least positive D with values[k] == v[k] / D: the lcm of the reduced denominators."""
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
 

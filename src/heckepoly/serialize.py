@@ -4,12 +4,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def fraction_str(x):
-    """Reduced 'p/q' string; integers render without the denominator."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return _ratio_str(x.numerator, x.denominator)
-
-
 def fraction_latex(x):
     x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
@@ -19,7 +13,7 @@ def fraction_latex(x):
 
 
 def poly_json(poly):
-    return {"bound": poly.bound, "coeffs": [fraction_str(c) for c in poly.coeffs]}
+    return {"bound": poly.bound, "coeffs": coeffs_json(poly.coeffs)}
 
 
 def _render(coeffs, var, number, power_format, spaced):
@@ -42,7 +36,7 @@ def _render(coeffs, var, number, power_format, spaced):
 
 def poly_text(poly):
     """Human-readable rendering, descending powers."""
-    return _render(poly.coeffs, "X", fraction_str, "%s^%d", True)
+    return _render(poly.coeffs, "X", str, "%s^%d", True)
 
 
 def poly_latex(poly):
@@ -50,7 +44,7 @@ def poly_latex(poly):
 
 
 def _ratio_str(x, den):
-    """fraction_str(Fraction(x, den)) for den > 0, reduced without building the Fraction."""
+    """str(Fraction(x, den)) for den > 0, reduced without building the Fraction."""
     g = gcd(x, den)
     return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
 
@@ -71,7 +65,7 @@ def matrix_latex(mat):
 
 
 def coeffs_json(coeffs):
-    return [fraction_str(c) for c in coeffs]
+    return [str(c) for c in coeffs]
 
 
 def charpoly_latex(coeffs):

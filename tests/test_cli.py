@@ -467,6 +467,14 @@ def _assert_precondition(capsys, argv, message):
     assert error["message"] == message
 
 
+def test_qexp_form_shape_messages(capsys):
+    # the two refusals of a malformed --form, in process, where the fuzz test's subprocesses check no text
+    _assert_precondition(capsys, ("qexp", "--form", "eta:1"), "eta part '1' must look like delta^exponent")
+    shape = "form must look like 'eta:1^8,2^8', 'E:k', 'Einf:k' or 'E0:k'"
+    for form in ("eta", "eta:", "E:"):
+        _assert_precondition(capsys, ("qexp", "--form", form), shape)
+
+
 def test_eta_exponent_cap(capsys):
     # sum |r| = 302, over the cap of 300; eta:1^-299,299^1 sits at the cap (~10 s at prec 2000)
     assert LIMITS["eta sum |r|"] == 300
@@ -662,6 +670,29 @@ def test_text_and_latex_stdout_hashes(capsys, command, fmt):
         assert status == 0, args
         digest.update(out.encode())
     assert digest.hexdigest() == _FORMAT_HASHES[command, fmt]
+
+
+# bernoulli, hankel and qexp print str of each Fraction; SHA-256 of their concatenated stdout over this grid,
+# recorded while they printed through a hand-written p/q formatter, so every printed rational stays byte-identical
+_PRINT_GRID = (
+    [("bernoulli", "--n", str(n)) for n in range(61)]
+    + [("hankel", "--which", str(which), "--n", str(n)) for which in (1, 2, 3) for n in range(1, 9)]
+    + [
+        ("qexp", "--form", form, "--prec", str(prec))
+        for form in ("eta:1^8,2^8", "eta:1^-24,2^48", "E:12", "Einf:8", "E0:10")
+        for prec in (7, 25)
+    ]
+)
+_PRINT_HASH = "ee83e1381c58fefb5ca556a9bc80d3d222a7474ea70e62519afe3a1ac9a0a2ad"
+
+
+def test_rational_print_paths_stdout_hash(capsys):
+    digest = hashlib.sha256()
+    for argv in _PRINT_GRID:
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == _PRINT_HASH
 
 
 def test_readme_cli_examples_run(capsys):

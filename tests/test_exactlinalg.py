@@ -754,3 +754,36 @@ def test_solve_right_scales_by_both_denominators():
     b = ExactMatrix([[Fraction(1, 5), Fraction(2, 7)], [Fraction(-1, 5), Fraction(1, 7)], [0, Fraction(3, 7)]])
     x = _checked(solve_right(a, b), [[Fraction(2, 5), Fraction(4, 7)], [Fraction(-3, 5), Fraction(3, 7)]])
     assert a * x == b
+
+
+def test_shape_guards_state_their_shapes():
+    square, wide = ExactMatrix([[1, 2], [3, 4]]), ExactMatrix([[1, 2, 3]])
+    for call, message in (
+        (wide.trace, "trace needs a square matrix"),
+        (lambda: square + wide, "shape mismatch"),
+        (lambda: square * wide, "shape mismatch: 2x2 times 1x3"),
+        (lambda: determinant(wide), "determinant needs a square matrix"),
+        (lambda: mat_inverse(wide), "inverse needs a square matrix"),
+        (lambda: solve_right(square, wide), "row mismatch"),
+        (lambda: charpoly(wide), "charpoly needs a square matrix"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_foreign_operands_are_left_to_python():
+    m = ExactMatrix([[1, 2], [3, 4]])
+    for method in (m.__add__, m.__sub__, m.__mul__, m.__eq__):
+        assert method(2.5) is NotImplemented
+        assert method([[1, 2], [3, 4]]) is NotImplemented
+    assert m != [[1, 2], [3, 4]]
+    for call in (lambda: m + 1, lambda: m - 1, lambda: m * 2.5, lambda: 2.5 * m):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_repr_lists_reduced_entries():
+    m = ExactMatrix([[Fraction(1, 2), 0], [-3, Fraction(4, 6)]])
+    assert repr(m) == "ExactMatrix([['1/2', '0'], ['-3', '2/3']])"
+    assert repr(ExactMatrix([], cols=2)) == "ExactMatrix([])"

@@ -311,3 +311,8 @@ def test_hecke_terms_match_the_level2_hand_written_values():
             odd = [(d, d ** (k - 1)) for d in range(1, g + 1, 2) if g % d == 0]
             assert hecke_terms(2, k, g) == odd, (k, g)
             assert sum(c for _, c in hecke_terms(2, k, g)) == sigma(k - 1, g // (g & -g))
+
+
+def test_bernoulli_poly0_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="^index must be nonnegative$"):
+        bernoulli_poly0(-1)

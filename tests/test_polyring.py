@@ -215,3 +215,12 @@ def test_convolve_matches_schoolbook():
                 cases.append((mixed, b, la + lb))
     for a, b, length in cases:
         assert convolve(a, b, length) == schoolbook(a, b, length), (a, b, length)
+
+
+def test_coeff_outside_the_bound_is_zero_and_reciprocal_scale_needs_a_level():
+    p = BoundedPolynomial([1, Fraction(2, 3)], bound=3)
+    assert [p.coeff(k) for k in (-1, 1, 3, 4)] == [0, Fraction(2, 3), 0, 0]
+    assert type(p.coeff(4)) is Fraction
+    for level in (0, -2):
+        with pytest.raises(ValueError, match="^level must be positive$"):
+            reciprocal_scale(p, level, 3)

@@ -1,7 +1,7 @@
-"""The index rule m, n >= 1 and the even-weight rule, each written once in ``exactnum``, at every site that reads them.
+"""The index rule m, n >= 1, the level rule and the even-weight rule, each written once in ``exactnum``, at every site.
 
-Each former hand-written copy keeps its exact message; the exact-arithmetic entry points return only exact values
-or raise ValueError on every boundary input.
+Each former hand-written copy keeps its exact message, except the library's two level checks, which now read as the
+CLI's; the exact-arithmetic entry points return only exact values or raise ValueError on every boundary input.
 """
 
 import argparse
@@ -10,9 +10,9 @@ from itertools import product
 
 import pytest
 
-from heckepoly.cli import _cmd_oracle_matrix
+from heckepoly.cli import _check_level, _cmd_oracle_matrix
 from heckepoly.exactlinalg import hankel_bernoulli
-from heckepoly.exactnum import divisors, hecke_terms, power_sums, require_even, require_positive, sigma
+from heckepoly.exactnum import divisors, hecke_terms, power_sums, require_even, require_level, require_positive, sigma
 from heckepoly.heckeop import _solve, dim_cusp
 from heckepoly.heckesum import eigenvalue_w6, enumerate_H_neg, hecke_images, s_poly_m, sign_restricted_sum
 from heckepoly.periodpoly import PeriodContext
@@ -37,8 +37,12 @@ def _even_rule(name, least, value):
 _CTX = PeriodContext(2, 10, 2)
 _SERIES = eisenstein_level1(4, 6)
 
-# (id, call, message): every site that hand-wrote one of the two rules, at its boundary, with the text it raised
+# (id, call, message): every site that hand-wrote one of the three rules, at its boundary, with the text it raises
 _SITES = [
+    # the two library level checks said "level must be >= 2" with no value until they read the CLI's rule
+    ("periodpoly.PeriodContext-level", lambda: PeriodContext(1, 6, 2), "level must be at least 2, got 1"),
+    ("heckesum.enumerate_H_neg-level", lambda: enumerate_H_neg(1, 8), "level must be at least 2, got 1"),
+    ("cli._check_level", lambda: _check_level(1), "level must be at least 2, got 1"),
     ("heckeop._solve", lambda: _solve(2, 10, 0), "m must be positive"),
     ("heckesum.enumerate_H_neg", lambda: enumerate_H_neg(2, 0), "m must be positive"),
     ("heckesum.sign_restricted_sum", lambda: sign_restricted_sum(2, 10, [2], 0), "m must be positive"),
@@ -87,6 +91,19 @@ def test_the_two_rules_accept_exactly_their_domains():
     for value in (3, 2, 5, -4):
         with pytest.raises(ValueError, match="^k must be an even integer >= 4, got %d$" % value):
             require_even("k", value, 4)
+
+
+def test_the_level_rule_accepts_exactly_its_domain():
+    for level in (2, 3, 10**30):
+        require_level(level)
+    for level in (1, 0, -5):
+        with pytest.raises(ValueError, match="^level must be at least 2, got %d$" % level):
+            require_level(level)
+    # the level rule runs first, before the weight rule and the index rule
+    with pytest.raises(ValueError, match="^level must be at least 2, got 0$"):
+        PeriodContext(0, 3, 9)
+    with pytest.raises(ValueError, match="^level must be at least 2, got 0$"):
+        enumerate_H_neg(0, 0)
 
 
 def test_sigma_refuses_a_negative_power():

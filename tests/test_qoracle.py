@@ -760,3 +760,20 @@ def test_hecke_on_qseries_huge_index_on_cusp_forms():
     f = cusp_basis_gamma02(12, 40)[0]
     assert hecke_on_qseries(f, 2**61 - 1).coeffs == [0]
     assert hecke_on_qseries(f, 3 * (2**61 - 1)).coeffs == [0]
+
+
+def test_qseries_guards_and_repr():
+    with pytest.raises(ValueError, match="^prec must be nonnegative$"):
+        QSeries(4, [1], -1)
+    series = QSeries(4, [1, Fraction(1, 2), 3])
+    assert series.coeff(-1) == 0 and type(series.coeff(-1)) is Fraction
+    with pytest.raises(PrecisionError, match="^prefix 3 beyond precision 2$"):
+        series.prefix(3)
+    with pytest.raises(ValueError, match="^scale must be positive$"):
+        scale_variable(series, 0)
+    # eta(24z) = q - q^25 - ...: an integral leading exponent, but odd weight
+    with pytest.raises(ValueError, match="^sum of eta exponents must be even for integral weight$"):
+        eta_quotient([(24, 1)], 30)
+    assert repr(series) == "QSeries(weight=4, prec=2, coeffs=[1, 1/2, 3, ...])"
+    e4 = "QSeries(weight=4, prec=8, coeffs=[1, 240, 2160, 6720, 17520, 30240, ...])"
+    assert repr(eisenstein_level1(4, 8)) == e4

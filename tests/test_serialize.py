@@ -6,7 +6,7 @@ from heckepoly.polyring import BoundedPolynomial
 from heckepoly.serialize import (
     charpoly_latex,
     fraction_latex,
-    fraction_str,
+    _ratio_str,
     matrix_json,
     matrix_latex,
     poly_json,
@@ -16,10 +16,26 @@ from heckepoly.serialize import (
 
 
 def test_fraction_str():
-    assert fraction_str(Fraction(3, 2)) == "3/2"
-    assert fraction_str(Fraction(-691, 2730)) == "-691/2730"
-    assert fraction_str(Fraction(4)) == "4"
-    assert fraction_str(0) == "0"
+    # every rational leaves the package as str of its Fraction or int: reduced p/q, integers bare
+    assert str(Fraction(3, 2)) == "3/2"
+    assert str(Fraction(-691, 2730)) == "-691/2730"
+    assert str(Fraction(8, -6)) == "-4/3"
+    assert str(Fraction(4)) == "4"
+    assert str(0) == "0"
+
+
+def test_ratio_str_is_str_of_the_fraction():
+    # matrix cells render from (numerator, column denominator) pairs without building the Fraction
+    rng = random.Random(40)
+    cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (-691, 2730), (1 << 600, 1), (-(3**400), 3**250)]
+    for _ in range(2000):
+        bits = rng.choice((4, 64, 300, 600))
+        x = rng.randint(-(1 << bits), 1 << bits)
+        den = rng.choice((1, rng.randint(1, 1 << bits)))
+        common = rng.choice((1, rng.randint(1, 1 << 200)))  # a shared factor the reduction must remove
+        cases.append((x * common, den * common))
+    for x, den in cases:
+        assert _ratio_str(x, den) == str(Fraction(x, den)), (x, den)
 
 
 def test_fraction_latex():
@@ -60,10 +76,10 @@ def _poly_text_oracle(coeffs):
         sign = "-" if c < 0 else ("+" if idx else "")
         mag = abs(c)
         if k == 0:
-            body = fraction_str(mag)
+            body = str(mag)
         else:
             var = "X" if k == 1 else "X^%d" % k
-            body = var if mag == 1 else "%s*%s" % (fraction_str(mag), var)
+            body = var if mag == 1 else "%s*%s" % (mag, var)
         parts.append((sign + " " if sign and idx else sign) + body)
     return " ".join(parts)
 

@@ -67,3 +67,17 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     probe = "import sys, heckepoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_all_names_exactly_the_public_imports_of_the_package():
+    # __all__ is written out beside the imports that bind its names, so the two lists are checked against each other
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert len(imported) == len(set(imported)) == 43
+    assert sorted(heckepoly.__all__) == sorted(imported)
